@@ -115,6 +115,7 @@ def _execute_payload(payload: dict, registry: TargetRegistry,
 # pool here and the search-level pool inside the saturation engine must
 # agree on when forking the parent is safe.
 from ..saturation.parallel import fork_available as _fork_available
+from ..saturation.runner import StopReason
 
 
 def _evict_adhoc(
@@ -443,7 +444,12 @@ class Session:
         )
         seconds = perf_counter() - started
         self.runs += 1
-        if name_key is not None:
+        # A wall-clock-truncated run depends on machine load, not only
+        # on the request: neither cache tier stores it.
+        if (
+            name_key is not None
+            and result.run.stop_reason != StopReason.TIME_LIMIT
+        ):
             self.cache.put_result(key, result)
             self.cache.put_result(name_key, result)
             if named:  # only name-resolved targets are reproducible on disk
@@ -586,7 +592,12 @@ class Session:
                 reports[index] = report
                 # Duplicates share the primary's entry; re-storing it
                 # would just rewrite the same key (and disk file).
-                if executed and report.ok and keys[index] is not None:
+                # Time-truncated runs are never cached (see
+                # optimize_term).
+                if (
+                    executed and report.ok and keys[index] is not None
+                    and report.stop_reason != StopReason.TIME_LIMIT
+                ):
                     self.cache.put_report(
                         keys[index], report, disk=durable[index]
                     )

@@ -85,6 +85,8 @@ CODES: Dict[str, str] = {
              "some child class's parent list",
     "EG106": "snapshot disagreement: the frozen columnar store does "
              "not reproduce the live graph",
+    "EG107": "leaf-class index drift: the var/const class index "
+             "differs from a full rescan in class-id order",
 }
 
 

@@ -21,7 +21,12 @@ reports every broken representation invariant as a
   worklist misses repairs otherwise);
 * **EG106** — snapshot agreement: a freshly frozen columnar
   :class:`~repro.egraph.store.FlatStore` reproduces the live graph
-  (union-find, per-class node sets, smallest-term table).
+  (union-find, per-class node sets, smallest-term table);
+* **EG107** — leaf-class index: for every op in
+  :data:`~repro.egraph.egraph.INDEXED_LEAF_OPS`,
+  ``EGraph.leaf_classes`` equals a full rescan of the classes holding
+  such an e-node, in class-id order (the intro rules draw their
+  candidates from it).
 
 The verifier never fixes anything; it runs between saturation steps
 when ``Limits(check=True)`` / ``REPRO_CHECK=1`` is set (see
@@ -246,6 +251,24 @@ def verify(egraph: "EGraph", *, snapshot: bool = True) -> List[Diagnostic]:
                     f"its child class {child_root}",
                     location=f"class {child_root}",
                 )
+
+    # -- EG107: leaf-class index ----------------------------------------
+    from ..egraph.egraph import INDEXED_LEAF_OPS
+
+    for op in INDEXED_LEAF_OPS:
+        scanned = [
+            class_id for class_id, eclass in classes.items()
+            if any(node.op == op for node in eclass.nodes)
+        ]
+        indexed = egraph.leaf_classes(op)
+        if indexed != scanned:
+            missing = sorted(set(scanned) - set(indexed))
+            extra = sorted(set(indexed) - set(scanned))
+            out.add(
+                "EG107",
+                f"{op!r} class index disagrees with a rescan: missing "
+                f"{missing[:5]}, extra {extra[:5]}",
+            )
 
     # -- EG106: frozen snapshot agreement -------------------------------
     if snapshot:

@@ -16,7 +16,15 @@ Extras needed by LIAR:
   so rule right-hand sides can mention matched classes without
   extracting them;
 * ``known_sizes``, the set of array sizes present in the graph, used to
-  instantiate the free size variable of ``R-INTRO-INDEXBUILD``.
+  instantiate the free size variable of ``R-INTRO-INDEXBUILD``;
+* a leaf-class index (``leaf_classes``): the canonical classes holding
+  a ``var`` or ``const`` e-node, maintained by ``add_enode``/``merge``,
+  from which the intro rules draw their free right-hand-side variables
+  (§IV-B4) without rescanning every class;
+* a candidate memo: ``extract_candidates`` results are cached under the
+  graph's ``(version, generation)``, so all rules of one search phase
+  (which never mutates the graph) share them; the saturation runner
+  drops the memo when the phase ends.
 
 Storage layout — the slotted store:
 
@@ -51,7 +59,10 @@ from ..ir.terms import Term
 from .enode import ENode, enode_to_term_shallow, term_to_parts
 from .unionfind import UnionFind
 
-__all__ = ["EGraph", "EClass", "ClassRef", "Analysis"]
+__all__ = ["EGraph", "EClass", "ClassRef", "Analysis", "INDEXED_LEAF_OPS"]
+
+#: Leaf operators whose classes :meth:`EGraph.leaf_classes` indexes.
+INDEXED_LEAF_OPS = ("var", "const")
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,6 +135,16 @@ class EGraph:
         self._analysis = analysis
         self._analysis_pending: List[int] = []
         self.known_sizes: Set[int] = set()
+        # INDEXED_LEAF_OPS tag -> canonical ids of the classes holding
+        # an e-node with that tag (see leaf_classes).
+        self._leaf_classes: Dict[str, Set[int]] = {
+            op: set() for op in INDEXED_LEAF_OPS
+        }
+        # ((version, generation), {(class, limit): candidates}); see
+        # extract_candidates.
+        self._candidate_memo: Optional[
+            TupleT[TupleT[int, int], Dict[TupleT[int, int], List[Term]]]
+        ] = None
         # Classes created or merged since the last pop_dirty(); the
         # saturation engine's incremental e-matching restricts rule
         # search to these classes and their parent closure.
@@ -242,6 +263,9 @@ class EGraph:
             self._classes[self._uf.find(child)].parents.append(slot)
         if enode.op in ("build", "ifold"):
             self.known_sizes.add(enode.payload)  # type: ignore[arg-type]
+        leaf = self._leaf_classes.get(enode.op)
+        if leaf is not None:
+            leaf.add(class_id)
         if self._analysis is not None:
             eclass.data = self._analysis.make(self, enode)
         self._dirty.add(class_id)
@@ -281,6 +305,10 @@ class EGraph:
         loser = self._classes.pop(other)
         winner.nodes.update(loser.nodes)
         winner.parents.extend(loser.parents)
+        for leaf in self._leaf_classes.values():
+            if other in leaf:
+                leaf.discard(other)
+                leaf.add(new_root)
         if self._analysis is not None:
             winner.data = self._analysis.join(winner.data, loser.data)
             self._analysis_pending.append(new_root)
@@ -451,6 +479,7 @@ class EGraph:
         state = self.__dict__.copy()
         state.pop("_size_cache", None)
         state.pop("_op_index_cache", None)
+        state["_candidate_memo"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -497,7 +526,10 @@ class EGraph:
         return self._build_term(self._uf.find(class_id), table)
 
     def _build_term(
-        self, class_id: int, table: Dict[int, TupleT[int, ENode]]
+        self,
+        class_id: int,
+        table: Dict[int, TupleT[int, ENode]],
+        path: Optional[Set[int]] = None,
     ) -> Optional[Term]:
         # The table may be one rebuild stale; try both the canonical id
         # and the raw id (one of a merged pair keeps its id as root).
@@ -507,12 +539,24 @@ class EGraph:
         if entry is None:
             return None
         node = entry[1]
+        if not node.children:
+            return enode_to_term_shallow(node.op, node.payload, ())
+        # A stale table can walk in a cycle: a merge since the last
+        # rebuild may have put a witness's child into the witness's own
+        # class.  The walk from a witness is fixed, so meeting one again
+        # on the current path means no finite term through this table.
+        if path is None:
+            path = set()
+        elif id(node) in path:
+            return None
+        path.add(id(node))
         children = []
         for child in node.children:
-            child_term = self._build_term(child, table)
+            child_term = self._build_term(child, table, path)
             if child_term is None:
                 return None
             children.append(child_term)
+        path.discard(id(node))
         return enode_to_term_shallow(node.op, node.payload, tuple(children))
 
     def classes_by_op(self) -> Dict[str, List[int]]:
@@ -530,6 +574,14 @@ class EGraph:
         self._op_index_cache = (self.generation, index)
         return index
 
+    def leaf_classes(self, op: str) -> List[int]:
+        """Canonical ids of the classes holding an e-node tagged ``op``
+        (one of :data:`INDEXED_LEAF_OPS`), in ascending id order, which
+        is ``_classes`` order: callers see exactly what a scan over
+        :meth:`classes` would yield.  Maintained incrementally, so it is
+        valid between mutations, not only after :meth:`rebuild`."""
+        return sorted(self._leaf_classes[op])
+
     def extract_candidates(self, class_id: int, limit: int = 4) -> List[Term]:
         """A few small distinct terms represented by ``class_id``.
 
@@ -538,7 +590,28 @@ class EGraph:
         use these when matching shifted pattern variables: if the
         smallest representative mentions a forbidden bound variable, an
         alternative representative may still avoid it.
+
+        Memoized per ``(find(class_id), limit)`` while ``version`` and
+        ``generation`` stay put (a search phase); the returned list is
+        shared and must not be mutated.
         """
+        stamp = (self.version, self.generation)
+        memo = self._candidate_memo
+        if memo is None or memo[0] != stamp:
+            memo = self._candidate_memo = (stamp, {})
+        key = (self._uf.find(class_id), limit)
+        results = memo[1].get(key)
+        if results is None:
+            results = memo[1][key] = self._compute_candidates(*key)
+        return results
+
+    def drop_candidate_memo(self) -> None:
+        """Release the :meth:`extract_candidates` memo (the runner calls
+        this when a search phase ends)."""
+        self._candidate_memo = None
+
+    def _compute_candidates(self, class_id: int, limit: int) -> List[Term]:
+        """:meth:`extract_candidates` without the memo."""
         table = self._size_table()
         class_id = self._uf.find(class_id)
         results: List[Term] = []

@@ -206,27 +206,20 @@ CandidateStrategy = Callable[[EGraph], List[int]]
 
 
 def var_classes(egraph: EGraph) -> List[int]:
-    """Classes containing a De Bruijn variable e-node.
+    """Classes containing a De Bruijn variable e-node, in class-id
+    order (an index lookup, see :meth:`EGraph.leaf_classes`).
 
     The default strategy for ``R-INTROLAMBDA``: every latent-idiom
     derivation in the paper introduces a lambda applied to a loop
     index, e.g. ``1 → (λ 1) •1`` while exposing the dot product in the
     vector sum (§V-A).
     """
-    return [
-        eclass.class_id
-        for eclass in egraph.classes()
-        if any(node.op == "var" for node in eclass.nodes)
-    ]
+    return egraph.leaf_classes("var")
 
 
 def const_classes(egraph: EGraph) -> List[int]:
-    """Classes containing a scalar constant e-node."""
-    return [
-        eclass.class_id
-        for eclass in egraph.classes()
-        if any(node.op == "const" for node in eclass.nodes)
-    ]
+    """Classes containing a scalar constant e-node, in class-id order."""
+    return egraph.leaf_classes("const")
 
 
 def atom_classes(egraph: EGraph) -> List[int]:

@@ -350,6 +350,12 @@ class SnapshotEGraph:
     behavior is shared by construction, not by parallel maintenance.
     """
 
+    # A snapshot never changes, so the candidate memo's
+    # ``(version, generation)`` key is constant: one memo serves the
+    # snapshot's whole lifetime.
+    version = 0
+    generation = 0
+
     def __init__(self, store: FlatStore) -> None:
         self._store = store
         self._uf = _ArrayUnionFind(store.uf)
@@ -363,6 +369,7 @@ class SnapshotEGraph:
         self._node_cache: Dict[int, ENode] = {}
         self._class_nodes_cache: Dict[int, Dict[ENode, None]] = {}
         self._op_index: Optional[Dict[str, List[int]]] = None
+        self._candidate_memo = None
 
     def dispose(self) -> None:
         """Drop every internal reference to the store's arrays.
@@ -377,6 +384,7 @@ class SnapshotEGraph:
         self._node_cache = {}
         self._class_nodes_cache = {}
         self._op_index = None
+        self._candidate_memo = None
         self._store = None
 
     # -- row decoding ---------------------------------------------------
@@ -446,10 +454,13 @@ class SnapshotEGraph:
         return self._size_view
 
     # Borrowed unbound from EGraph: these only touch ``_size_table``,
-    # ``_uf.find`` and ``_classes[...].nodes``, all provided above.
+    # ``_uf.find``, ``_classes[...].nodes`` and the candidate memo
+    # (keyed by the constant ``version``/``generation``), all provided
+    # above.
     from .egraph import EGraph as _EGraph
 
     extract_smallest = _EGraph.extract_smallest
     extract_candidates = _EGraph.extract_candidates
+    _compute_candidates = _EGraph._compute_candidates
     _build_term = _EGraph._build_term
     del _EGraph

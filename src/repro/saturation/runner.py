@@ -400,6 +400,9 @@ class Runner:
                         stats, deadline, phases, verify_pass=True,
                     )
                     restricted = False
+                # Candidate terms memoized for this phase's matching go
+                # stale with the first mutation; release them now.
+                egraph.drop_candidate_memo()
             phases.search = search_span.duration
 
             # --- apply --------------------------------------------------

@@ -382,6 +382,31 @@ class TestDiskCache:
         assert not reports[0].cache_hit
 
 
+class TestTimeTruncatedRunsStayUncached:
+    """A run stopped by the wall clock depends on machine load, so it
+    must be re-executed rather than served from either cache tier."""
+
+    TRUNCATED = Limits(step_limit=4, node_limit=5000, time_limit=1e-9)
+
+    def test_reports_rerun_and_never_reach_disk(self, tmp_path):
+        session = Session(self.TRUNCATED, cache_dir=tmp_path)
+        first = session.optimize_many([("vsum", "blas")], parallel=False)[0]
+        assert first.ok and first.stop_reason == "time_limit"
+        second = session.optimize_many([("vsum", "blas")], parallel=False)[0]
+        assert not second.cache_hit
+        assert session.runs == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_results_rerun_and_never_reach_disk(self, tmp_path):
+        session = Session(self.TRUNCATED, cache_dir=tmp_path)
+        first = session.optimize("vsum", "blas")
+        assert first.run.stop_reason == "time_limit"
+        second = session.optimize("vsum", "blas")
+        assert second is not first
+        assert session.runs == 2
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestLegacyShims:
     def test_module_level_optimize_matches_pipeline(self):
         import repro

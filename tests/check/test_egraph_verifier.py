@@ -140,6 +140,25 @@ class TestSeededCorruption:
         findings = verify(eg, snapshot=True)
         assert "EG106" in _codes(findings)
 
+    def test_eg107_leaf_index_drift(self):
+        eg = _healthy_egraph()
+        var_class = eg.leaf_classes("var")[0]
+        eg._leaf_classes["var"].discard(var_class)
+        findings = verify(eg, snapshot=False)
+        assert "EG107" in _codes(findings)
+
+    def test_eg107_stale_leaf_index_entry(self):
+        # A merged-away (non-root) id left behind in the index.
+        eg = EGraph()
+        one = eg.add_term(parse("1"))
+        two = eg.add_term(parse("2"))
+        eg.merge(one, two)
+        eg.rebuild()
+        assert verify(eg, snapshot=False) == []
+        eg._leaf_classes["const"].update({one, two})
+        findings = verify(eg, snapshot=False)
+        assert "EG107" in _codes(findings)
+
     def test_all_corruption_findings_are_errors(self):
         eg = _healthy_egraph()
         slot = next(

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.egraph import ClassRef, EGraph, ENode
 from repro.ir import builders as b, parse, pretty
-from repro.ir.terms import Call, Const, Symbol, Term
+from repro.ir.terms import Call, Const, Symbol, Term, Var
 
 
 class TestAddAndHashcons:
@@ -118,6 +118,19 @@ class TestExtractSmallest:
         eg.rebuild()
         assert eg.extract_smallest(x) == Symbol("x")
 
+    def test_stale_table_cycle_before_rebuild(self):
+        # Merging g(2, 2) into 2 makes the stale table's witness for the
+        # class, g(•, •), point back into its own class until rebuild.
+        eg = EGraph()
+        two = eg.add_term(Const(2))
+        g = eg.add_term(Call("g", (Const(2), Const(2))))
+        eg.extract_smallest(g)  # build the table
+        assert eg.merge(g, two) == g
+        assert eg.extract_smallest(g) is None
+        assert eg.extract_candidates(g) == [Const(2)]
+        eg.rebuild()
+        assert eg.extract_smallest(g) == Const(2)
+
     def test_extract_candidates_contains_alternatives(self):
         eg = EGraph()
         a = eg.add_term(parse("a + 0"))
@@ -200,3 +213,97 @@ def test_congruence_invariant_under_random_merges(merges, probes):
             if canonical in seen:
                 assert eg.find(seen[canonical]) == eg.find(eclass.class_id)
             seen[canonical] = eclass.class_id
+
+
+# ---------------------------------------------------------------------------
+# Property: the leaf-class index and the candidate memo stay exact under
+# random add / merge / rebuild schedules, checked after every mutation.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _leafy_term(draw, depth=0):
+    if depth > 2 or draw(st.booleans()):
+        kind = draw(st.sampled_from(["var", "const", "symbol"]))
+        if kind == "var":
+            return Var(draw(st.integers(0, 2)))
+        if kind == "const":
+            return Const(draw(st.integers(0, 2)))
+        return Symbol(draw(st.sampled_from(_SYMBOLS[:2])))
+    fn = draw(st.sampled_from(["f", "g"]))
+    arity = draw(st.integers(1, 2))
+    args = tuple(draw(_leafy_term(depth=depth + 1)) for _ in range(arity))
+    return Call(fn, args)
+
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("add"), _leafy_term()),
+    st.tuples(st.just("merge"), st.integers(0, 63), st.integers(0, 63)),
+    st.tuples(st.just("rebuild")),
+)
+
+
+def _assert_index_and_memo_exact(eg):
+    for op in ("var", "const"):
+        rescan = [
+            eclass.class_id for eclass in eg.classes()
+            if any(node.op == op for node in eclass.nodes)
+        ]
+        assert eg.leaf_classes(op) == rescan
+    for class_id in eg.class_ids():
+        for limit in (1, 4):
+            memoized = eg.extract_candidates(class_id, limit)
+            assert memoized == eg._compute_candidates(class_id, limit)
+            # A second call is a memo hit and answers identically.
+            assert eg.extract_candidates(class_id, limit) is memoized
+
+
+@given(st.lists(_MUTATION, min_size=1, max_size=24))
+@settings(max_examples=60, deadline=None)
+def test_leaf_index_and_candidate_memo_track_mutations(schedule):
+    eg = EGraph()
+    ids = []
+    for mutation in schedule:
+        if mutation[0] == "add":
+            ids.append(eg.add_term(mutation[1]))
+        elif mutation[0] == "merge":
+            if not ids:
+                continue
+            eg.merge(ids[mutation[1] % len(ids)], ids[mutation[2] % len(ids)])
+        else:
+            eg.rebuild()
+        _assert_index_and_memo_exact(eg)
+    eg.rebuild()
+    _assert_index_and_memo_exact(eg)
+    # Merged-away ids answer through their canonical class.
+    for class_id in ids:
+        assert eg.extract_candidates(class_id) == eg._compute_candidates(
+            eg.find(class_id), 4
+        )
+
+
+class TestCandidateMemo:
+    def test_memo_dropped_on_request_and_on_pickle(self):
+        import pickle
+
+        eg = EGraph()
+        root = eg.add_term(parse("a + 0"))
+        eg.extract_candidates(root)
+        assert eg._candidate_memo is not None
+        assert pickle.loads(pickle.dumps(eg))._candidate_memo is None
+        eg.drop_candidate_memo()
+        assert eg._candidate_memo is None
+
+    def test_finished_run_keeps_no_memo(self):
+        from repro.kernels import registry
+        from repro.saturation import Runner
+        from repro.targets import blas_target
+
+        kernel = registry.get("vsum")
+        target = blas_target()
+        eg = EGraph()
+        root = eg.add_term(kernel.term)
+        Runner(eg, target.rules, step_limit=2, node_limit=2000).run(
+            root, cost_model=target.cost_model
+        )
+        assert eg._candidate_memo is None
