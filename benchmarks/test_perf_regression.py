@@ -9,7 +9,9 @@ across benchmark modules) and fails when
   so any increase is a real regression, never noise; or
 * **wall time regresses by more than 50%** vs the baseline
   (``REPRO_PERF_FACTOR`` overrides the 1.5 factor; ``0`` disables the
-  wall-time gate for pathologically slow machines).
+  wall-time gate for pathologically slow machines); or
+* **a pinned run stopped at the time limit** — its steps, cost and
+  wall then depend on machine load, so neither gate above can judge it.
 
 The fresh numbers are always written to ``REPRO_PERF_REPORT`` (default
 ``perf_current.json`` in the working directory, git-ignored); CI
@@ -33,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import optimize_pair, selected_kernels
+from repro.saturation import StopReason
 
 BASELINE_PATH = Path(__file__).parent / "baseline.json"
 BASELINE_SCHEMA = "repro-perf-baseline/1"
@@ -141,6 +144,18 @@ def test_wall_time_within_budget(fresh_runs):
                 f"x {factor:g})"
             )
     assert not failures, "; ".join(failures)
+
+
+def test_no_pinned_run_hit_the_time_limit(fresh_runs):
+    _, runs = fresh_runs
+    truncated = sorted(
+        key for key, result in runs.items()
+        if result.run.stop_reason == StopReason.TIME_LIMIT
+    )
+    assert not truncated, (
+        "pinned runs stopped at the time limit, so their cost and wall "
+        f"depend on machine load: {', '.join(truncated)}"
+    )
 
 
 def test_solutions_still_found(fresh_runs):

@@ -21,10 +21,12 @@ Extras needed by LIAR:
   a ``var`` or ``const`` e-node, maintained by ``add_enode``/``merge``,
   from which the intro rules draw their free right-hand-side variables
   (§IV-B4) without rescanning every class;
-* a candidate memo: ``extract_candidates`` results are cached under the
-  graph's ``(version, generation)``, so all rules of one search phase
-  (which never mutates the graph) share them; the saturation runner
-  drops the memo when the phase ends.
+* a candidate memo: ``extract_candidates`` results, their unshifted
+  forms per shift (``unshifted_candidates``, the bindings of ``A↑k``
+  pattern variables) and the smallest terms their walks built are
+  cached under the graph's ``(version, generation)``, so all rules of
+  one search phase (which never mutates the graph) share them; the
+  saturation runner drops the memo when the phase ends.
 
 Storage layout — the slotted store:
 
@@ -51,10 +53,10 @@ invariant of this layout on demand (``Limits(check=True)`` /
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple as TupleT
 
+from ..ir.debruijn import try_unshift
 from ..ir.terms import Term
 from .enode import ENode, enode_to_term_shallow, term_to_parts
 from .unionfind import UnionFind
@@ -140,10 +142,14 @@ class EGraph:
         self._leaf_classes: Dict[str, Set[int]] = {
             op: set() for op in INDEXED_LEAF_OPS
         }
-        # ((version, generation), {(class, limit): candidates}); see
-        # extract_candidates.
+        # ((version, generation), {(class, limit, shift): terms},
+        # {class: smallest term or None}); see unshifted_candidates.
         self._candidate_memo: Optional[
-            TupleT[TupleT[int, int], Dict[TupleT[int, int], List[Term]]]
+            TupleT[
+                TupleT[int, int],
+                Dict[TupleT[int, int, int], List[Term]],
+                Dict[int, Optional[Term]],
+            ]
         ] = None
         # Classes created or merged since the last pop_dirty(); the
         # saturation engine's incremental e-matching restricts rule
@@ -251,6 +257,11 @@ class EGraph:
         existing = self._memo.get(enode)
         if existing is not None:
             return self._uf.find(existing)
+        return self._insert(enode)
+
+    def _insert(self, enode: ENode) -> int:
+        """Create a class for ``enode``, which must be canonical and
+        absent from the hashcons."""
         class_id = self._uf.make_set()
         eclass = EClass(class_id)
         eclass.nodes[enode] = None
@@ -260,7 +271,7 @@ class EGraph:
         self._slot_form.append(enode)
         self._slot_class.append(class_id)
         for child in enode.children:
-            self._classes[self._uf.find(child)].parents.append(slot)
+            self._classes[child].parents.append(slot)
         if enode.op in ("build", "ifold"):
             self.known_sizes.add(enode.payload)  # type: ignore[arg-type]
         leaf = self._leaf_classes.get(enode.op)
@@ -282,8 +293,13 @@ class EGraph:
         if isinstance(term, ClassRef):
             return self._uf.find(term.class_id)
         op, payload, child_terms = term_to_parts(term)
-        children = tuple(self.add_term(child) for child in child_terms)
-        return self.add_enode(ENode(op, payload, children))
+        # Every id add_term returns is a union-find root, and inserting
+        # never merges, so the node is canonical as built.
+        enode = ENode(op, payload, tuple([self.add_term(c) for c in child_terms]))
+        existing = self._memo.get(enode)
+        if existing is not None:
+            return self._uf.find(existing)
+        return self._insert(enode)
 
     # ------------------------------------------------------------------
     # Merging and rebuilding
@@ -323,40 +339,15 @@ class EGraph:
         # Slot-based repair pops each parent's *current* memo key
         # (``_slot_form``), so it cannot miss entries re-keyed by an
         # earlier merge — no O(memo) safety sweep is needed per
-        # rebuild.  ``REPRO_EGRAPH_CHECK=1`` re-enables it as an
-        # assertion.
+        # rebuild (repro.check.egraph's EG101/EG102 verify that).
         while self._pending:
             todo = {self._uf.find(class_id) for class_id in self._pending}
             self._pending.clear()
             for class_id in todo:
                 unions += self._repair_flat(class_id)
-        if os.environ.get("REPRO_EGRAPH_CHECK", "").strip() == "1":
-            swept = self._sweep_memo()
-            assert not swept and not self._pending, (
-                "flat-store repair left stale hashcons entries"
-            )
         if self._analysis is not None:
             self._propagate_analysis()
         self.generation += 1
-        return unions
-
-    def _sweep_memo(self) -> int:
-        unions = 0
-        stale = [
-            (node, class_id)
-            for node, class_id in self._memo.items()
-            if self.canonicalize(node) != node or self._uf.find(class_id) != class_id
-        ]
-        for node, class_id in stale:
-            del self._memo[node]
-        for node, class_id in stale:
-            canonical = self.canonicalize(node)
-            class_id = self._uf.find(class_id)
-            existing = self._memo.get(canonical)
-            if existing is not None and not self._uf.same(existing, class_id):
-                class_id = self.merge(existing, class_id)
-                unions += 1
-            self._memo[canonical] = self._uf.find(class_id)
         return unions
 
     def _repair_flat(self, class_id: int) -> int:
@@ -530,7 +521,17 @@ class EGraph:
         class_id: int,
         table: Dict[int, TupleT[int, ENode]],
         path: Optional[Set[int]] = None,
+        built: Optional[Dict[int, Optional[Term]]] = None,
     ) -> Optional[Term]:
+        """The term the witness walk from ``class_id`` spells out, or
+        ``None`` when the walk is cyclic or leaves the table.
+
+        ``built`` memoizes results per raw class id for one ``table``
+        and union-find state (the walk from an id is then fixed), so
+        repeated builds share their subterms instead of re-walking.
+        """
+        if built is not None and class_id in built:
+            return built[class_id]
         # The table may be one rebuild stale; try both the canonical id
         # and the raw id (one of a merged pair keeps its id as root).
         entry = table.get(self._uf.find(class_id))
@@ -540,24 +541,36 @@ class EGraph:
             return None
         node = entry[1]
         if not node.children:
-            return enode_to_term_shallow(node.op, node.payload, ())
+            term: Optional[Term] = enode_to_term_shallow(node.op, node.payload, ())
+            if built is not None:
+                built[class_id] = term
+            return term
         # A stale table can walk in a cycle: a merge since the last
         # rebuild may have put a witness's child into the witness's own
         # class.  The walk from a witness is fixed, so meeting one again
         # on the current path means no finite term through this table.
+        # The walk from a node on a cycle is cyclic wherever it starts,
+        # so a ``None`` found mid-walk is also the standalone result.
         if path is None:
             path = set()
         elif id(node) in path:
+            if built is not None:
+                built[class_id] = None
             return None
         path.add(id(node))
         children = []
         for child in node.children:
-            child_term = self._build_term(child, table, path)
+            child_term = self._build_term(child, table, path, built)
             if child_term is None:
+                if built is not None:
+                    built[class_id] = None
                 return None
             children.append(child_term)
         path.discard(id(node))
-        return enode_to_term_shallow(node.op, node.payload, tuple(children))
+        term = enode_to_term_shallow(node.op, node.payload, tuple(children))
+        if built is not None:
+            built[class_id] = term
+        return term
 
     def classes_by_op(self) -> Dict[str, List[int]]:
         """Map each operator tag to the classes containing an e-node
@@ -595,14 +608,38 @@ class EGraph:
         ``generation`` stay put (a search phase); the returned list is
         shared and must not be mutated.
         """
+        return self.unshifted_candidates(class_id, 0, limit)
+
+    def unshifted_candidates(
+        self, class_id: int, shift: int, limit: int = 4
+    ) -> List[Term]:
+        """The ``try_unshift(candidate, shift)`` results over
+        :meth:`extract_candidates`, in candidate order, skipping the
+        candidates that mention one of the ``shift`` innermost bound
+        variables — the distinct bindings of a pattern variable
+        ``A↑…↑``.
+
+        Shares the candidate memo (``shift == 0`` is the candidate list
+        itself); the returned list must not be mutated.
+        """
         stamp = (self.version, self.generation)
         memo = self._candidate_memo
         if memo is None or memo[0] != stamp:
-            memo = self._candidate_memo = (stamp, {})
-        key = (self._uf.find(class_id), limit)
+            memo = self._candidate_memo = (stamp, {}, {})
+        key = (self._uf.find(class_id), limit, shift)
         results = memo[1].get(key)
         if results is None:
-            results = memo[1][key] = self._compute_candidates(*key)
+            if shift == 0:
+                results = self._compute_candidates(key[0], limit, memo[2])
+            else:
+                # The candidates are distinct and unshifting is
+                # injective, so the results are distinct too.
+                unshifted = (
+                    try_unshift(candidate, shift)
+                    for candidate in self.unshifted_candidates(key[0], 0, limit)
+                )
+                results = [term for term in unshifted if term is not None]
+            memo[1][key] = results
         return results
 
     def drop_candidate_memo(self) -> None:
@@ -610,12 +647,21 @@ class EGraph:
         this when a search phase ends)."""
         self._candidate_memo = None
 
-    def _compute_candidates(self, class_id: int, limit: int) -> List[Term]:
-        """:meth:`extract_candidates` without the memo."""
+    def _compute_candidates(
+        self,
+        class_id: int,
+        limit: int,
+        built: Optional[Dict[int, Optional[Term]]] = None,
+    ) -> List[Term]:
+        """:meth:`extract_candidates` without the memo; ``built`` is
+        the smallest-term memo of :meth:`_build_term`, shared by the
+        candidate memo across one search phase."""
         table = self._size_table()
+        if built is None:
+            built = {}
         class_id = self._uf.find(class_id)
         results: List[Term] = []
-        smallest = self._build_term(class_id, table)
+        smallest = self._build_term(class_id, table, built=built)
         if smallest is not None:
             results.append(smallest)
         if class_id not in self._classes:
@@ -639,7 +685,7 @@ class EGraph:
             children = []
             ok = True
             for child in node.children:
-                child_term = self._build_term(child, table)
+                child_term = self._build_term(child, table, built=built)
                 if child_term is None:
                     ok = False
                     break

@@ -33,7 +33,7 @@ Term                  op      payload             children
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple as TupleT
+from typing import Any, Callable, Dict, Tuple as TupleT
 
 from ..ir.terms import (
     App,
@@ -71,33 +71,29 @@ class ENode:
         return ENode(self.op, self.payload, tuple(fn(c) for c in self.children))
 
 
+#: Term type -> its ``(op, payload, child_terms)`` decomposition.
+_PARTS: Dict[type, Callable[[Any], TupleT[str, object, TupleT[Term, ...]]]] = {
+    Var: lambda t: ("var", t.index, ()),
+    Lam: lambda t: ("lam", None, (t.body,)),
+    App: lambda t: ("app", None, (t.fn, t.arg)),
+    Build: lambda t: ("build", t.size, (t.fn,)),
+    Index: lambda t: ("index", None, (t.array, t.index)),
+    IFold: lambda t: ("ifold", t.size, (t.init, t.fn)),
+    Tuple: lambda t: ("tuple", None, (t.fst, t.snd)),
+    Fst: lambda t: ("fst", None, (t.tup,)),
+    Snd: lambda t: ("snd", None, (t.tup,)),
+    Call: lambda t: ("call", t.name, t.args),
+    Const: lambda t: ("const", t.value, ()),
+    Symbol: lambda t: ("symbol", t.name, ()),
+}
+
+
 def term_to_parts(term: Term) -> TupleT[str, object, TupleT[Term, ...]]:
     """Decompose a term into ``(op, payload, child_terms)``."""
-    if isinstance(term, Var):
-        return "var", term.index, ()
-    if isinstance(term, Lam):
-        return "lam", None, (term.body,)
-    if isinstance(term, App):
-        return "app", None, (term.fn, term.arg)
-    if isinstance(term, Build):
-        return "build", term.size, (term.fn,)
-    if isinstance(term, Index):
-        return "index", None, (term.array, term.index)
-    if isinstance(term, IFold):
-        return "ifold", term.size, (term.init, term.fn)
-    if isinstance(term, Tuple):
-        return "tuple", None, (term.fst, term.snd)
-    if isinstance(term, Fst):
-        return "fst", None, (term.tup,)
-    if isinstance(term, Snd):
-        return "snd", None, (term.tup,)
-    if isinstance(term, Call):
-        return "call", term.name, term.args
-    if isinstance(term, Const):
-        return "const", term.value, ()
-    if isinstance(term, Symbol):
-        return "symbol", term.name, ()
-    raise TypeError(f"unknown term type: {type(term).__name__}")
+    parts = _PARTS.get(type(term))
+    if parts is None:
+        raise TypeError(f"unknown term type: {type(term).__name__}")
+    return parts(term)
 
 
 def enode_to_term_shallow(op: str, payload: object, children: TupleT[Term, ...]) -> Term:

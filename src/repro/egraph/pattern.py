@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple as TupleT, Union
 
-from ..ir.debruijn import shift as shift_term, try_unshift
+from ..ir.debruijn import shift as shift_term
 from ..ir.terms import (
     App,
     Build,
@@ -207,12 +207,7 @@ def _bind_var(
     # Term binding (possibly unshifted).  Each candidate representative
     # of the class that avoids the forbidden bound variables yields a
     # distinct binding; candidates are few (see extract_candidates).
-    seen = set()
-    for candidate in egraph.extract_candidates(class_id):
-        term = candidate if pvar.shift == 0 else try_unshift(candidate, pvar.shift)
-        if term is None or term in seen:
-            continue
-        seen.add(term)
+    for term in egraph.unshifted_candidates(class_id, pvar.shift):
         if existing is None:
             updated = dict(bindings)
             updated[pvar.name] = TermBinding(term)

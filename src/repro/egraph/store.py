@@ -461,6 +461,7 @@ class SnapshotEGraph:
 
     extract_smallest = _EGraph.extract_smallest
     extract_candidates = _EGraph.extract_candidates
+    unshifted_candidates = _EGraph.unshifted_candidates
     _compute_candidates = _EGraph._compute_candidates
     _build_term = _EGraph._build_term
     del _EGraph

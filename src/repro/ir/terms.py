@@ -11,12 +11,20 @@ nodes.
 All terms are immutable, hashable values.  Structural equality is value
 equality, which — combined with De Bruijn indices — means that
 alpha-equivalent lambdas are *identical* terms (§IV-A1 of the paper).
+
+Every term caches its structural hash in the ``_hash`` slot on first
+use, so hashing a term whose children were hashed before costs one
+tuple hash instead of a walk of the whole tree.  The cache is not a
+dataclass field: equality, ``repr`` and pickling ignore it, and an
+unpickled term hashes afresh, which matters because string hashes are
+randomized per process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Tuple as TupleT, Union
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Callable, Dict, Iterator, Tuple as TupleT, Union
 
 __all__ = [
     "Term",
@@ -45,15 +53,50 @@ __all__ = [
 ]
 
 
+#: Term subclass -> a getter for the tuple of its equality fields.
+_KEY_GETTERS: Dict[type, Callable[[object], TupleT[object, ...]]] = {}
+
+
+def _key_getter(cls: type) -> Callable[[object], TupleT[object, ...]]:
+    names = [f.name for f in fields(cls) if f.compare]  # type: ignore[arg-type]
+    getter = attrgetter(*names)
+    if len(names) == 1:
+        # attrgetter of one name returns the bare value, not a 1-tuple.
+        _KEY_GETTERS[cls] = lambda term: (getter(term),)
+    else:
+        _KEY_GETTERS[cls] = getter
+    return _KEY_GETTERS[cls]
+
+
 class Term:
     """Base class for all IR terms.
 
     Terms are immutable; subclasses are frozen dataclasses.  The class
     itself carries the generic traversal helpers used by the De Bruijn
-    operators, the printer, and the e-graph conversion code.
+    operators, the printer, and the e-graph conversion code, and the
+    cached structural hash every subclass inherits.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+    _hash: int
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # An explicit ``__hash__`` in the class body keeps the dataclass
+        # decorator from generating its uncached one.
+        cls.__hash__ = Term.__hash__  # type: ignore[method-assign]
+
+    def __hash__(self) -> int:
+        """Hash of the equality fields (the value a frozen dataclass
+        computes), cached in ``_hash`` on first use."""
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        key = _KEY_GETTERS.get(type(self)) or _key_getter(type(self))
+        value = hash(key(self))
+        object.__setattr__(self, "_hash", value)
+        return value
 
     # Convenience constructors for infix arithmetic, used heavily by the
     # kernel definitions and tests.  ``a + b`` builds ``Call("+", (a, b))``.

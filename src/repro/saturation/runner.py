@@ -75,18 +75,22 @@ def _binding_signature(egraph: EGraph, match: Match) -> tuple:
     return (egraph.find(match.class_id), tuple(parts))
 
 
-def _canonicalize_signature(egraph: EGraph, signature: tuple) -> tuple:
+def _canonicalize_signature(
+    find: Callable[[int], int], signature: tuple
+) -> tuple:
     """Re-canonicalize the class ids embedded in an applied-match
-    signature.  Signatures are captured at match time; after later
-    merges their ids go stale and the same logical match would look
-    unseen forever, getting re-applied every subsequent step."""
+    signature through ``find`` (the e-graph's).  Signatures are
+    captured at match time; after later merges their ids go stale and
+    the same logical match would look unseen forever, getting
+    re-applied every subsequent step.  Runs over the whole applied set
+    after every merging step, so it reuses the parts that hold no
+    class id instead of rebuilding them."""
     rule_index, context, (root, parts) = signature
-    new_root = egraph.find(root)
-    new_parts = tuple(
-        (name, kind, egraph.find(value)) if kind == "c" else (name, kind, value)
-        for name, kind, value in parts
-    )
-    return (rule_index, context, (new_root, new_parts))
+    new_parts = tuple([
+        (part[0], "c", find(part[2])) if part[1] == "c" else part
+        for part in parts
+    ])
+    return (rule_index, context, (find(root), new_parts))
 
 
 class StopReason:
@@ -452,8 +456,9 @@ class Runner:
                     # Some class ids went stale: re-canonicalize the stored
                     # signatures so later merges cannot resurrect matches.
                     # A step with zero unions left the union-find untouched.
+                    find = egraph.find
                     applied = {
-                        _canonicalize_signature(egraph, s) for s in applied
+                        _canonicalize_signature(find, s) for s in applied
                     }
                 if len(applied) > self.applied_cap:
                     applied.clear()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.egraph import ClassRef, EGraph, ENode
-from repro.ir import builders as b, parse, pretty
+from repro.ir import builders as b, parse, pretty, try_unshift
 from repro.ir.terms import Call, Const, Symbol, Term, Var
 
 
@@ -131,6 +131,21 @@ class TestExtractSmallest:
         eg.rebuild()
         assert eg.extract_smallest(g) == Const(2)
 
+    def test_build_memo_records_stale_table_cycles(self):
+        # As above, but through a parent and with the memo: every walk
+        # through the merged class is cyclic, wherever it starts.
+        eg = EGraph()
+        two = eg.add_term(Const(2))
+        g = eg.add_term(Call("g", (Const(2), Const(2))))
+        h = eg.add_term(Call("h", (Call("g", (Const(2), Const(2))),)))
+        table = eg._size_table()
+        eg.merge(g, two)
+        built = {}
+        assert eg._build_term(h, table, built=built) is None
+        assert built == {h: None, g: None, two: None}
+        assert eg._build_term(two, table) is None
+        assert eg._build_term(g, table) is None
+
     def test_extract_candidates_contains_alternatives(self):
         eg = EGraph()
         a = eg.add_term(parse("a + 0"))
@@ -216,8 +231,9 @@ def test_congruence_invariant_under_random_merges(merges, probes):
 
 
 # ---------------------------------------------------------------------------
-# Property: the leaf-class index and the candidate memo stay exact under
-# random add / merge / rebuild schedules, checked after every mutation.
+# Property: the leaf-class index, the candidate memo and its unshifted
+# lists stay exact under random add / merge / rebuild schedules, checked
+# after every mutation.
 # ---------------------------------------------------------------------------
 
 
@@ -256,6 +272,23 @@ def _assert_index_and_memo_exact(eg):
             assert memoized == eg._compute_candidates(class_id, limit)
             # A second call is a memo hit and answers identically.
             assert eg.extract_candidates(class_id, limit) is memoized
+        for shift in (0, 1, 2):
+            expected = []
+            for candidate in eg._compute_candidates(class_id, 4):
+                term = try_unshift(candidate, shift)
+                if term is not None and term not in expected:
+                    expected.append(term)
+            unshifted = eg.unshifted_candidates(class_id, shift)
+            assert unshifted == expected
+            assert eg.unshifted_candidates(class_id, shift) is unshifted
+    # The smallest-term memo shared across one phase answers every raw
+    # id, canonical or merged away, exactly as an unmemoized walk does.
+    table = eg._size_table()
+    built = {}
+    for class_id in reversed(range(len(eg._uf))):
+        assert eg._build_term(class_id, table, built=built) == eg._build_term(
+            class_id, table
+        )
 
 
 @given(st.lists(_MUTATION, min_size=1, max_size=24))

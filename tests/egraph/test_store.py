@@ -235,19 +235,32 @@ class TestHashconsRepair:
         assert eg.same(fab, fcd)
         self._memo_is_canonical(eg)
 
-    def test_flat_repair_is_complete_under_check_mode(self, monkeypatch):
-        # REPRO_EGRAPH_CHECK=1 asserts inside rebuild() that the sweep
-        # safety net finds nothing left to do after the slot repair.
-        monkeypatch.setenv("REPRO_EGRAPH_CHECK", "1")
+    def test_flat_repair_is_complete_under_check_mode(self):
+        # The invariant verifier runs after every step: EG101 reports a
+        # hashcons key the slot repair left non-canonical or pointing at
+        # a dead class, EG102 a congruent pair it failed to merge — the
+        # stale entries a full-memo sweep would have had to repair.
+        from repro.check.egraph import verify
+        from repro.extraction import AstSizeCost
+
         eg = EGraph()
         root = eg.add_term(parse("(x + 0) * (y + 0)"))
         rules = [
             rewrite("add-zero", padd(pv("x"), pconst(0)), pv("x")),
             rewrite("commute", pmul(pv("a"), pv("b")), pmul(pv("b"), pv("a"))),
         ]
-        from repro.extraction import AstSizeCost
-
-        Runner(eg, rules, step_limit=4).run(root, cost_model=AstSizeCost())
+        runner = Runner(eg, rules, step_limit=4)
+        reports = []
+        runner.on_step_end.append(
+            lambda _runner, step, _record: reports.append((step, verify(eg)))
+        )
+        result = runner.run(root, cost_model=AstSizeCost())
+        # Step 0 is the initial graph; every saturation step was checked.
+        assert [step for step, _ in reports] == [
+            record.step for record in result.steps[1:]
+        ]
+        assert len(reports) >= 2
+        assert all(not diagnostics for _, diagnostics in reports), reports
         self._memo_is_canonical(eg)
 
 

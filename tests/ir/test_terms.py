@@ -1,6 +1,7 @@
 """Unit tests for the term ADT (repro.ir.terms)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ir import builders as b
 from repro.ir.terms import (
@@ -182,3 +183,161 @@ class TestCollectors:
     def test_collect_symbols(self):
         term = b.sym("A")[b.v(0)] + b.sym("alpha")
         assert collect_symbols(term) == {"A", "alpha"}
+
+
+# ---------------------------------------------------------------------------
+# The cached structural hash (Term._hash)
+# ---------------------------------------------------------------------------
+
+
+def _sample_terms():
+    """One freshly built instance of every concrete Term subclass of the
+    package, keyed by class; called twice, it yields equal but distinct
+    objects."""
+    from repro.egraph.egraph import ClassRef
+    from repro.egraph.pattern import PVar, _HoleTerm
+    from repro.ir.terms import Fst, Snd
+
+    body = Call("+", (Var(0), Symbol("xs")[Var(1)]))
+    return {
+        Var: Var(2),
+        Lam: Lam(body),
+        App: App(Lam(body), Const(1)),
+        Build: Build(4, Lam(body)),
+        Index: Index(Symbol("xs"), Var(0)),
+        IFold: IFold(3, Const(0.0), Lam(Lam(body))),
+        Tuple: Tuple(Symbol("a"), Const(2)),
+        Fst: Fst(Tuple(Symbol("a"), Var(0))),
+        Snd: Snd(Tuple(Symbol("a"), Var(0))),
+        Call: Call("dot", (Symbol("xs"), Symbol("ys"))),
+        Const: Const(1.5),
+        Symbol: Symbol("alpha"),
+        ClassRef: ClassRef(7),
+        _HoleTerm: _HoleTerm(PVar("A", 1, True)),
+    }
+
+
+def _concrete_term_classes():
+    import sys
+
+    import repro.egraph.egraph  # noqa: F401  (defines ClassRef)
+    import repro.egraph.pattern  # noqa: F401  (defines _HoleTerm)
+
+    found, stack = set(), [Term]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            # ``dataclass(slots=True)`` replaces the class it decorates;
+            # count only the class its module actually exports.
+            module = sys.modules.get(sub.__module__)
+            if (
+                sub.__module__.startswith("repro.")
+                and getattr(module, sub.__qualname__, None) is sub
+            ):
+                found.add(sub)
+    return found
+
+
+class TestCachedHash:
+    def test_every_subclass_hashes_with_its_equality(self):
+        samples, twins = _sample_terms(), _sample_terms()
+        # A new Term subclass must be added to _sample_terms, so this
+        # walk covers it.
+        assert _concrete_term_classes() == set(samples)
+        for cls, term in samples.items():
+            twin = twins[cls]
+            assert type(term).__hash__ is Term.__hash__, cls
+            assert term == twin and term is not twin, cls
+            assert hash(term) == hash(twin), cls
+            # The cached value is the frozen-dataclass field hash.
+            fields = tuple(getattr(term, name) for name in term.__dataclass_fields__)
+            assert term._hash == hash(fields), cls
+            assert {term: cls}[twin] is cls
+
+    def test_cache_is_not_a_field(self):
+        term = Call("f", (Var(0), Lam(Symbol("x"))))
+        before = repr(term)
+        hash(term)
+        assert repr(term) == before and "_hash" not in before
+        assert "_hash" not in Call.__dataclass_fields__
+        import pickle
+
+        state = pickle.dumps(term)
+        assert not hasattr(pickle.loads(state), "_hash")
+
+    def test_pickled_term_hashes_afresh_in_another_process(self):
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        term = Call("gemv", (Symbol("A"), Build(4, Lam(Symbol("xs")[Var(0)]))))
+        cached = hash(term)  # fills _hash in this process
+        script = (
+            "import pickle, sys\n"
+            "from repro.ir.terms import Build, Call, Lam, Symbol, Var\n"
+            "term = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = Call('gemv', (Symbol('A'), Build(4, Lam(Symbol('xs')[Var(0)]))))\n"
+            "assert hash(fresh) != int(sys.argv[1]), 'hash seeds coincide'\n"
+            "assert term in {fresh} and fresh in {term}\n"
+            "assert hash(term) == hash(fresh)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONHASHSEED"] = (
+            "2" if env.get("PYTHONHASHSEED") == "1" else "1"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(cached)],
+            input=pickle.dumps(term), capture_output=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+
+
+_LEAVES = st.one_of(
+    st.builds(Var, st.integers(0, 3)),
+    st.builds(Const, st.integers(-2, 2)),
+    st.builds(Symbol, st.sampled_from(["xs", "ys", "alpha"])),
+)
+
+
+def _extend(inner):
+    return st.one_of(
+        st.builds(Lam, inner),
+        st.builds(App, inner, inner),
+        st.builds(Build, st.integers(1, 4), inner),
+        st.builds(Index, inner, inner),
+        st.builds(IFold, st.integers(1, 4), inner, inner),
+        st.builds(Tuple, inner, inner),
+        st.builds(
+            Call, st.sampled_from(["+", "*", "dot"]),
+            st.lists(inner, max_size=3).map(tuple),
+        ),
+    )
+
+
+_TERMS = st.recursive(_LEAVES, _extend, max_leaves=12)
+
+
+def _rebuild(term):
+    """A structurally equal copy sharing no node with ``term``."""
+    kids = tuple(_rebuild(child) for child in children(term))
+    if not kids:
+        return type(term)(*(getattr(term, n) for n in term.__dataclass_fields__))
+    return with_children(term, kids)
+
+
+@given(_TERMS)
+@settings(max_examples=100, deadline=None)
+def test_equal_terms_hash_equal_and_cache_stays_out_of_eq(term):
+    twin = _rebuild(term)
+    assert twin == term
+    plain = repr(twin)
+    assert hash(term) == hash(twin)
+    assert repr(twin) == plain
+    # A corrupted cache changes the hash, never equality or repr.
+    object.__setattr__(twin, "_hash", hash(term) + 1)
+    assert twin == term and repr(twin) == plain

@@ -257,3 +257,34 @@ class TestSessionAndCli:
             "-w", "2", "-q",
         ])
         assert code == 0
+
+    def test_cli_parallel_output_byte_identical_to_serial(self, tmp_path, capsys):
+        """vsum/axpy bind shifted pattern variables, so the workers'
+        snapshots serve the unshifted-candidate memo; every artifact must
+        match the serial run byte for byte (progress lines up to their
+        wall-clock column)."""
+        import json
+        import re
+
+        from repro.cli import main
+
+        out = tmp_path / "out"
+        provenance = tmp_path / "provenance.json"
+
+        def run(*workers):
+            assert main([
+                "vsum", "axpy", "-t", "blas", "--steps", "3",
+                "--out", str(out), "--provenance", str(provenance), *workers,
+            ]) == 0
+            stdout = re.sub(r"\d+\.\ds ", "<s> ", capsys.readouterr().out)
+            runs = json.loads(provenance.read_text())["runs"]
+            files = {}
+            for path in sorted(out.iterdir()):
+                files[path.name] = path.read_bytes()
+                path.unlink()
+            return stdout, runs, files
+
+        serial = run()
+        parallel = run("--search-workers", "2", "--apply-workers", "2")
+        assert "blas-overview.csv" in serial[2]
+        assert parallel == serial
