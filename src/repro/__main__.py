@@ -1,6 +1,6 @@
 """``python -m repro`` — the evaluation driver (see repro.cli)."""
 
-from .cli import main
+from .cli import run
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -87,6 +87,8 @@ CODES: Dict[str, str] = {
              "not reproduce the live graph",
     "EG107": "leaf-class index drift: the var/const class index "
              "differs from a full rescan in class-id order",
+    "EG108": "analysis not at fixpoint: a class's data does not "
+             "absorb the data made from one of its e-nodes",
 }
 
 

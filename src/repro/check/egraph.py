@@ -26,7 +26,11 @@ reports every broken representation invariant as a
   :data:`~repro.egraph.egraph.INDEXED_LEAF_OPS`,
   ``EGraph.leaf_classes`` equals a full rescan of the classes holding
   such an e-node, in class-id order (the intro rules draw their
-  candidates from it).
+  candidates from it);
+* **EG108** — analysis fixpoint: every class's analysis data absorbs
+  the data made from each of its e-nodes, ``join(data, make(node)) ==
+  data`` (``merge`` propagates only from classes whose data changed,
+  so a missed change leaves a parent short of it).
 
 The verifier never fixes anything; it runs between saturation steps
 when ``Limits(check=True)`` / ``REPRO_CHECK=1`` is set (see
@@ -269,6 +273,22 @@ def verify(egraph: "EGraph", *, snapshot: bool = True) -> List[Diagnostic]:
                 f"{op!r} class index disagrees with a rescan: missing "
                 f"{missing[:5]}, extra {extra[:5]}",
             )
+
+    # -- EG108: analysis fixpoint ---------------------------------------
+    analysis = egraph._analysis
+    if analysis is not None:
+        for class_id, eclass in classes.items():
+            for node in eclass.nodes:
+                if any(safe_find(child) not in classes for child in node.children):
+                    continue  # dead child class: EG101 covers the node
+                made = analysis.make(egraph, egraph.canonicalize(node))
+                if analysis.join(eclass.data, made) != eclass.data:
+                    out.add(
+                        "EG108",
+                        f"data {eclass.data!r} of class {class_id} does not "
+                        f"absorb {made!r}, made from its e-node {node}",
+                        location=f"class {class_id}",
+                    )
 
     # -- EG106: frozen snapshot agreement -------------------------------
     if snapshot:

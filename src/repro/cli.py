@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -824,5 +825,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     return exit_code
 
 
+def run() -> int:
+    """:func:`main` for ``python -m repro``: a reader that closes the
+    pipe early (``python -m repro ... | head``) ends the run quietly
+    with status 1 instead of a ``BrokenPipeError`` traceback."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again on exit; point it at
+        # /dev/null so that flush cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -53,8 +53,18 @@ invariant of this layout on demand (``Limits(check=True)`` /
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple as TupleT
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple as TupleT,
+)
 
 from ..ir.debruijn import try_unshift
 from ..ir.terms import Term
@@ -85,6 +95,10 @@ class Analysis:
     ``make`` computes the analysis data of a fresh e-node from its
     children's data; ``join`` combines the data of two merged classes.
     The default implementation stores nothing.
+
+    As in egg, a rebuild re-runs ``make`` only on the parents of classes
+    whose data changed: a merge whose joined data equals (``==``) the
+    old data of both sides propagates nothing.
     """
 
     def make(self, egraph: "EGraph", enode: ENode) -> object:
@@ -326,27 +340,41 @@ class EGraph:
                 leaf.discard(other)
                 leaf.add(new_root)
         if self._analysis is not None:
-            winner.data = self._analysis.join(winner.data, loser.data)
-            self._analysis_pending.append(new_root)
+            joined = self._analysis.join(winner.data, loser.data)
+            # Egg's rule: only a class whose data changed needs its
+            # parents re-made.  ``join`` keeps the first value on a
+            # conflict, so a change on either side counts: the loser's
+            # parents were made from the loser's data.
+            if joined != winner.data or joined != loser.data:
+                self._analysis_pending.append(new_root)
+            winner.data = joined
         self._pending.append(new_root)
         self._dirty.add(new_root)
         return new_root
 
-    def rebuild(self) -> int:
+    def rebuild(
+        self, span: Callable[[str], ContextManager[object]] = nullcontext
+    ) -> int:
         """Restore the congruence invariant; returns the number of
-        congruence-induced unions performed."""
+        congruence-induced unions performed.
+
+        ``span(name)`` wraps each sub-phase (``rebuild.repair``,
+        ``rebuild.analysis``); the saturation runner passes its tracer's
+        ``span`` to time them."""
         unions = 0
         # Slot-based repair pops each parent's *current* memo key
         # (``_slot_form``), so it cannot miss entries re-keyed by an
         # earlier merge — no O(memo) safety sweep is needed per
         # rebuild (repro.check.egraph's EG101/EG102 verify that).
-        while self._pending:
-            todo = {self._uf.find(class_id) for class_id in self._pending}
-            self._pending.clear()
-            for class_id in todo:
-                unions += self._repair_flat(class_id)
-        if self._analysis is not None:
-            self._propagate_analysis()
+        with span("rebuild.repair"):
+            while self._pending:
+                todo = {self._uf.find(class_id) for class_id in self._pending}
+                self._pending.clear()
+                for class_id in todo:
+                    unions += self._repair_flat(class_id)
+        with span("rebuild.analysis"):
+            if self._analysis is not None:
+                self._propagate_analysis()
         self.generation += 1
         return unions
 
@@ -410,7 +438,9 @@ class EGraph:
         return unions
 
     def _propagate_analysis(self) -> None:
-        """Re-run ``make`` upwards from classes whose data changed."""
+        """Re-run ``make`` upwards from classes whose data changed
+        (``merge`` queues only those, so a merge that leaves both sides'
+        data as it was costs nothing here)."""
         assert self._analysis is not None
         worklist = [self._uf.find(c) for c in self._analysis_pending]
         self._analysis_pending.clear()

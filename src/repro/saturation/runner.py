@@ -79,18 +79,78 @@ def _canonicalize_signature(
     find: Callable[[int], int], signature: tuple
 ) -> tuple:
     """Re-canonicalize the class ids embedded in an applied-match
-    signature through ``find`` (the e-graph's).  Signatures are
-    captured at match time; after later merges their ids go stale and
-    the same logical match would look unseen forever, getting
-    re-applied every subsequent step.  Runs over the whole applied set
-    after every merging step, so it reuses the parts that hold no
-    class id instead of rebuilding them."""
+    signature through ``find`` (the e-graph's), reusing the parts that
+    hold no class id."""
     rule_index, context, (root, parts) = signature
     new_parts = tuple([
         (part[0], "c", find(part[2])) if part[1] == "c" else part
         for part in parts
     ])
     return (rule_index, context, (find(root), new_parts))
+
+
+class AppliedSet:
+    """Signatures of the matches applied so far, so the same rule is
+    not re-applied to the same match every step.
+
+    Signatures are captured at match time; after later merges their
+    class ids go stale and the same logical match would look unseen
+    forever.  :meth:`canonicalize` brings the set up to date after a
+    rebuild.  An index from each class id to the signatures mentioning
+    it (as the match root or a class binding) lets it visit only the
+    ids that stopped being union-find roots and re-canonicalize only
+    their signatures: the others hold roots only, which ``find`` leaves
+    as they are.
+    """
+
+    __slots__ = ("_signatures", "_mentions")
+
+    def __init__(self) -> None:
+        self._signatures: Set[tuple] = set()
+        # class id -> signatures that mention it.  Lists, appended to
+        # without hashing; an entry whose signature has since been
+        # re-canonicalized away is skipped when its id goes stale.
+        self._mentions: Dict[int, List[tuple]] = {}
+
+    def __contains__(self, signature: object) -> bool:
+        return signature in self._signatures
+
+    def __len__(self) -> int:
+        return len(self._signatures)
+
+    def add(self, signature: tuple) -> None:
+        signatures = self._signatures
+        if signature in signatures:
+            return
+        signatures.add(signature)
+        mentions = self._mentions
+        _, _, (root, parts) = signature
+        mentions.setdefault(root, []).append(signature)
+        for part in parts:
+            if part[1] == "c":
+                mentions.setdefault(part[2], []).append(signature)
+
+    def clear(self) -> None:
+        self._signatures.clear()
+        self._mentions.clear()
+
+    def canonicalize(self, find: Callable[[int], int]) -> None:
+        """Re-canonicalize every signature through ``find``; signatures
+        that become equal collapse into one."""
+        mentions = self._mentions
+        stale = [class_id for class_id in mentions if find(class_id) != class_id]
+        signatures = self._signatures
+        affected = {
+            signature
+            for class_id in stale
+            for signature in mentions.pop(class_id)
+            if signature in signatures
+        }
+        signatures -= affected
+        # Canonical signatures hold roots only, so none of them equals
+        # a signature being replaced; one may equal a kept signature.
+        for signature in affected:
+            self.add(_canonicalize_signature(find, signature))
 
 
 class StopReason:
@@ -301,7 +361,7 @@ class Runner:
             contributed,
         ))
         stop_reason = StopReason.STEP_LIMIT
-        applied: Set[tuple] = set()
+        applied = AppliedSet()
         try:
             stop_reason = self._run_steps(
                 egraph, scheduler, matcher, searcher, contexts, applied,
@@ -362,7 +422,7 @@ class Runner:
         matcher: Optional[IncrementalMatcher],
         searcher: ParallelSearch,
         contexts: List[object],
-        applied: Set[tuple],
+        applied: AppliedSet,
         stats: List["RuleStats"],
         records: List[StepRecord],
         contributed: Dict[str, Set[int]],
@@ -450,18 +510,19 @@ class Runner:
             phases.apply_cpu = plan_cpu + commit_wall
 
             # --- rebuild ------------------------------------------------
+            # Sub-phase spans: congruence repair and analysis propagation
+            # (inside EGraph.rebuild), then the applied signatures.
             with tracer.span("rebuild", cat=CAT_PHASE) as rebuild_span:
-                congruence_unions = egraph.rebuild()
-                if unions or congruence_unions:
-                    # Some class ids went stale: re-canonicalize the stored
-                    # signatures so later merges cannot resurrect matches.
-                    # A step with zero unions left the union-find untouched.
-                    find = egraph.find
-                    applied = {
-                        _canonicalize_signature(find, s) for s in applied
-                    }
-                if len(applied) > self.applied_cap:
-                    applied.clear()
+                congruence_unions = egraph.rebuild(tracer.span)
+                with tracer.span("rebuild.signatures", cat=CAT_PHASE):
+                    if unions or congruence_unions:
+                        # Some class ids went stale: re-canonicalize the
+                        # stored signatures so later merges cannot
+                        # resurrect matches.  A step with zero unions left
+                        # the union-find untouched.
+                        applied.canonicalize(egraph.find)
+                    if len(applied) > self.applied_cap:
+                        applied.clear()
             phases.rebuild = rebuild_span.duration
 
             # --- record (+ extract) ------------------------------------
@@ -542,7 +603,7 @@ class Runner:
         matcher: Optional[IncrementalMatcher],
         searcher: ParallelSearch,
         contexts: List[object],
-        applied: Set[tuple],
+        applied: AppliedSet,
         stats: List[RuleStats],
         deadline: float,
         phases: PhaseTimings,

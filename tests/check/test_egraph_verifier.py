@@ -159,6 +159,30 @@ class TestSeededCorruption:
         findings = verify(eg, snapshot=False)
         assert "EG107" in _codes(findings)
 
+    def test_eg108_class_data_corrupted(self):
+        # A class whose e-nodes make a known shape, with its data
+        # reset to Unknown: join(Unknown, made) == made != the data.
+        from repro.ir.shapes import UNKNOWN, Unknown
+
+        eg = _healthy_egraph()
+        assert verify(eg, snapshot=False) == []
+        victim = next(
+            ec for ec in eg._classes.values()
+            if not isinstance(ec.data, Unknown)
+        )
+        victim.data = UNKNOWN
+        findings = verify(eg, snapshot=False)
+        assert _codes(findings) == {"EG108"}
+        assert any(
+            f.location == f"class {victim.class_id}" for f in findings
+        )
+
+    def test_eg108_skipped_without_analysis(self):
+        eg = EGraph()
+        eg.add_term(parse("x + 1"))
+        next(iter(eg._classes.values())).data = "corrupt"
+        assert verify(eg, snapshot=False) == []
+
     def test_all_corruption_findings_are_errors(self):
         eg = _healthy_egraph()
         slot = next(

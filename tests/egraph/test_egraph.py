@@ -4,9 +4,12 @@ smallest-term extraction, ClassRef splicing."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.egraph import ClassRef, EGraph, ENode
+from repro.check import verify
+from repro.egraph import Analysis, ClassRef, EGraph, ENode
+from repro.egraph.analysis import ShapeAnalysis
 from repro.ir import builders as b, parse, pretty, try_unshift
-from repro.ir.terms import Call, Const, Symbol, Term, Var
+from repro.ir.shapes import SCALAR, Array
+from repro.ir.terms import Call, Const, Fst, Index, Snd, Symbol, Term, Tuple, Var
 
 
 class TestAddAndHashcons:
@@ -340,3 +343,169 @@ class TestCandidateMemo:
             root, cost_model=target.cost_model
         )
         assert eg._candidate_memo is None
+
+
+# ---------------------------------------------------------------------------
+# Property: analysis propagation.  ``merge`` queues a class for
+# re-running ``make`` on its parents only when the joined data differs
+# from either side's old data; after every rebuild the data must still
+# be a fixpoint of the analysis.
+# ---------------------------------------------------------------------------
+
+#: ``u`` has no recorded shape, so merging it with a shaped class
+#: changes the data of one side only.
+_SHAPED_SYMBOLS = {"a": Array((4,)), "m": Array((2, 3)), "s": SCALAR}
+
+
+@st.composite
+def _shaped_term(draw, depth=0):
+    if depth > 2 or draw(st.integers(0, 2)) == 0:
+        kind = draw(st.sampled_from(["symbol", "symbol", "const"]))
+        if kind == "const":
+            return Const(draw(st.integers(0, 1)))
+        return Symbol(draw(st.sampled_from(sorted(_SHAPED_SYMBOLS) + ["u"])))
+    kind = draw(st.sampled_from(["tuple", "fst", "snd", "index", "+"]))
+    child = _shaped_term(depth=depth + 1)
+    if kind == "tuple":
+        return Tuple(draw(child), draw(child))
+    if kind == "fst":
+        return Fst(draw(child))
+    if kind == "snd":
+        return Snd(draw(child))
+    if kind == "index":
+        return Index(draw(child), Const(0))
+    return Call("+", (draw(child), draw(child)))
+
+
+_SHAPED_MUTATION = st.one_of(
+    st.tuples(st.just("add"), _shaped_term()),
+    st.tuples(st.just("merge"), st.integers(0, 63), st.integers(0, 63)),
+    st.tuples(st.just("rebuild")),
+)
+
+
+class _Leaves(Analysis):
+    """Order-free test analysis: the leaf labels below a class (join is
+    set union: commutative, associative, idempotent)."""
+
+    def make(self, egraph, enode):
+        labels = frozenset().union(
+            *(egraph.data_of(child) for child in enode.children)
+        )
+        if not enode.children:
+            labels |= {(enode.op, enode.payload)}
+        return labels
+
+    def join(self, a, b):
+        return a | b
+
+
+class _PropagateEveryMerge(EGraph):
+    """The reference rule: every merge queues its class, whether or not
+    the joined data changed."""
+
+    def merge(self, a, b):
+        version = self.version
+        root = super().merge(a, b)
+        if self.version != version:
+            self._analysis_pending.append(root)
+        return root
+
+
+def _reaches(eg, source, target):
+    """True when class ``target`` is ``source`` or below it."""
+    target = eg.find(target)
+    stack, seen = [eg.find(source)], set()
+    while stack:
+        class_id = stack.pop()
+        if class_id == target:
+            return True
+        if class_id not in seen:
+            seen.add(class_id)
+            stack.extend(
+                eg.find(child)
+                for node in eg.nodes_of(class_id) for child in node.children
+            )
+    return False
+
+
+def _run_schedule(graphs, schedule, after_rebuild, acyclic=False):
+    """Apply ``schedule`` to every graph alike; merges pick any class id
+    ever created, subterms' included, so parents see their children's
+    data change.  ``acyclic`` skips the merges that would close a cycle
+    (shapes grow without bound around a cycle through a tuple)."""
+    for mutation in schedule:
+        if mutation[0] == "add":
+            for eg in graphs:
+                eg.add_term(mutation[1])
+        elif mutation[0] == "merge":
+            count = len(graphs[0]._uf)
+            if not count:
+                continue
+            a, b = mutation[1] % count, mutation[2] % count
+            if acyclic and (
+                _reaches(graphs[0], a, b) or _reaches(graphs[0], b, a)
+            ):
+                continue
+            for eg in graphs:
+                eg.merge(a, b)
+        else:
+            for eg in graphs:
+                eg.rebuild()
+            after_rebuild()
+    for eg in graphs:
+        eg.rebuild()
+    after_rebuild()
+
+
+@given(st.lists(_SHAPED_MUTATION, min_size=1, max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_shape_analysis_reaches_fixpoint_after_every_rebuild(schedule):
+    eg = EGraph(ShapeAnalysis(_SHAPED_SYMBOLS))
+
+    def no_eg108():
+        findings = verify(eg, snapshot=False)
+        assert not [f for f in findings if f.code == "EG108"], findings
+
+    _run_schedule([eg], schedule, no_eg108, acyclic=True)
+
+
+@given(st.lists(_SHAPED_MUTATION, min_size=1, max_size=24))
+@settings(max_examples=200, deadline=None)
+def test_order_free_analysis_matches_propagating_every_merge(schedule):
+    eg = EGraph(_Leaves())
+    reference = _PropagateEveryMerge(_Leaves())
+
+    def same_data():
+        assert eg.class_ids() == reference.class_ids()
+        for class_id in eg.class_ids():
+            assert eg.data_of(class_id) == reference.data_of(class_id)
+
+    _run_schedule([eg, reference], schedule, same_data)
+
+
+class TestAnalysisPropagationQueue:
+    def test_merge_that_changes_no_data_queues_nothing(self):
+        eg = EGraph(ShapeAnalysis(_SHAPED_SYMBOLS))
+        zero = eg.add_term(Const(0))
+        one = eg.add_term(Const(1))
+        eg.merge(zero, one)  # Scalar joined with Scalar
+        assert eg._analysis_pending == []
+
+    def test_change_on_either_side_queues_the_class(self):
+        # join(Unknown, Scalar) == Scalar: the winner's data changes
+        # when the Unknown class wins the union, the loser's when it
+        # loses.
+        for order in ((Symbol("u"), Const(0)), (Const(0), Symbol("u"))):
+            eg = EGraph(ShapeAnalysis(_SHAPED_SYMBOLS))
+            first, second = (eg.add_term(term) for term in order)
+            root = eg.merge(first, second)
+            assert eg._analysis_pending == [root]
+            assert eg.data_of(root) == SCALAR
+
+    def test_parent_learns_the_merged_shape(self):
+        eg = EGraph(ShapeAnalysis(_SHAPED_SYMBOLS))
+        fst = eg.add_term(Fst(Tuple(Symbol("u"), Symbol("s"))))
+        eg.merge(eg.add_term(Symbol("u")), eg.add_term(Symbol("a")))
+        eg.rebuild()
+        assert eg.data_of(fst) == Array((4,))

@@ -174,6 +174,30 @@ def test_phase_timings_come_from_spans():
         assert phases.search >= 0.0 and phases.extract >= 0.0
 
 
+def test_rebuild_sub_phase_spans_nest_in_rebuild():
+    """Every ``rebuild`` phase span holds one ``rebuild.repair``,
+    ``rebuild.analysis`` and ``rebuild.signatures`` child, in that
+    order, and the step's recorded rebuild time is the parent span's."""
+    tracer = Tracer()
+    result = optimize(registry.get("dot"), make_target("blas"),
+                      trace=tracer, **LIMITS)
+    rebuilds = [e for e in tracer.events if e["name"] == "rebuild"]
+    assert len(rebuilds) == result.run.num_steps
+    subs = ("rebuild.repair", "rebuild.analysis", "rebuild.signatures")
+    for event, record in zip(rebuilds, result.steps[1:]):
+        end = event["ts"] + event["dur"]
+        inside = sorted(
+            (e for e in tracer.events
+             if e["name"].startswith("rebuild.")
+             and event["ts"] <= e["ts"] and e["ts"] + e["dur"] <= end),
+            key=lambda e: e["ts"],
+        )
+        assert tuple(e["name"] for e in inside) == subs
+        assert all(e["cat"] == "phase" for e in inside)
+        assert sum(e["dur"] for e in inside) <= event["dur"]
+        assert record.phases.rebuild == event["dur"]
+
+
 def test_rule_profile_phase_aggregation():
     from repro.saturation.telemetry import aggregate_phase_seconds
 

@@ -1,5 +1,8 @@
 """Tests for the command-line evaluation driver (repro.cli)."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,3 +148,25 @@ class TestTopConsole:
     def test_top_unreachable_daemon_is_an_error(self, capsys):
         assert main(["top", "http://127.0.0.1:9", "--once"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    def test_reader_closing_the_pipe_ends_the_run_quietly(self):
+        """``python -m repro ... | head`` must not end in a
+        BrokenPipeError traceback.  The read end is closed before the
+        child writes anything, so its first write fails."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "memset", "-t", "blas",
+             "--steps", "1", "--nodes", "800"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
