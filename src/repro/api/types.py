@@ -281,6 +281,13 @@ class OptimizationReport:
         return self.error is None
 
     @property
+    def deterministic(self) -> bool:
+        """False when the wall-clock limit cut the run short: the
+        answer then depends on how busy the machine was, not only on
+        the request.  Serialized with the report."""
+        return self.stop_reason != "time_limit"
+
+    @property
     def best_term(self) -> Optional[Term]:
         """The solution parsed back into an IR term."""
         if self.solution is None:
@@ -292,12 +299,14 @@ class OptimizationReport:
     def to_dict(self) -> dict:
         data = asdict(self)
         data["best_cost"] = _cost_to_json(self.best_cost)
+        data["deterministic"] = self.deterministic
         return data
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "OptimizationReport":
         data = dict(data)
         data["best_cost"] = _cost_from_json(data.get("best_cost"))
+        data.pop("deterministic", None)  # derived from stop_reason
         return cls(**data)
 
     def to_json(self, indent: Optional[int] = None) -> str:

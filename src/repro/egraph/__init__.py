@@ -1,7 +1,9 @@
 """Equality-saturation engine (egg-style), built for LIAR.
 
 * :mod:`repro.egraph.egraph` — hash-consed, congruence-closed e-graph;
-* :mod:`repro.egraph.pattern` — patterns, e-matching, instantiation;
+* :mod:`repro.egraph.pattern` — patterns, bindings, instantiation;
+* :mod:`repro.egraph.matcher` — e-matching: each pattern compiled into
+  a specialized Python generator;
 * :mod:`repro.egraph.rewrite` — rules, including the De Bruijn-aware
   dynamic rules and the enumerating "intro" rules;
 * :mod:`repro.egraph.store` — flat slotted snapshot of an e-graph
@@ -21,6 +23,7 @@
 from .analysis import ShapeAnalysis, dims_of_class, shape_of_class
 from .egraph import Analysis, ClassRef, EClass, EGraph
 from .enode import ENode
+from .matcher import match_class
 from .pattern import (
     Bindings,
     ClassBinding,
@@ -30,7 +33,6 @@ from .pattern import (
     SizeVar,
     TermBinding,
     instantiate,
-    match_class,
     pattern_of_term,
 )
 from .rewrite import (

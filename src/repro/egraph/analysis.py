@@ -16,6 +16,11 @@ paper):
   a best-effort dimension estimate.  Genuine ``Unknown``s are refined
   by whichever merged class knows more (e.g. ``memset(0)`` learns its
   length from the ``build N (λ 0)`` it merges with).
+* Shapes nested deeper than :data:`MAX_SHAPE_DEPTH` (function and pair
+  nesting plus array rank) widen to ``Unknown``.  Around a cycle
+  through a constructor — merging ``u`` into ``(u, s)`` — each round
+  of analysis propagation would otherwise nest the shape one level
+  deeper, for ever; real kernels stay far below the bound.
 """
 
 from __future__ import annotations
@@ -36,7 +41,32 @@ from ..ir.shapes import (
 from .egraph import Analysis, EGraph
 from .enode import ENode
 
-__all__ = ["ShapeAnalysis", "shape_of_class", "dims_of_class"]
+__all__ = [
+    "ShapeAnalysis",
+    "shape_of_class",
+    "dims_of_class",
+    "shape_depth",
+    "MAX_SHAPE_DEPTH",
+]
+
+#: Deepest shape the analysis records (see :func:`shape_depth`).
+MAX_SHAPE_DEPTH = 16
+
+
+def shape_depth(shape: Shape) -> int:
+    """Nesting depth of a shape: array rank, plus one per enclosing
+    function or pair."""
+    if isinstance(shape, Array):
+        return len(shape.dims)
+    if isinstance(shape, Fn):
+        return 1 + max(shape_depth(shape.param), shape_depth(shape.result))
+    if isinstance(shape, Pair):
+        return 1 + max(shape_depth(shape.fst), shape_depth(shape.snd))
+    return 0
+
+
+def _widen(shape: Shape) -> Shape:
+    return UNKNOWN if shape_depth(shape) > MAX_SHAPE_DEPTH else shape
 
 
 class ShapeAnalysis(Analysis):
@@ -54,8 +84,10 @@ class ShapeAnalysis(Analysis):
             return SCALAR
         if op == "symbol":
             return self.symbol_shapes.get(enode.payload, UNKNOWN)  # type: ignore[arg-type]
+        # Only lam, build and tuple nest deeper than their children;
+        # join never does, so widening here bounds every shape.
         if op == "lam":
-            return Fn(SCALAR, data(enode.children[0]))
+            return _widen(Fn(SCALAR, data(enode.children[0])))
         if op == "app":
             fn = data(enode.children[0])
             if isinstance(fn, Fn):
@@ -68,7 +100,7 @@ class ShapeAnalysis(Analysis):
             if isinstance(element, Scalar):
                 return Array((size,))
             if isinstance(element, Array):
-                return Array((size,) + element.dims)
+                return _widen(Array((size,) + element.dims))
             return UNKNOWN
         if op == "index":
             array = data(enode.children[0])
@@ -83,7 +115,7 @@ class ShapeAnalysis(Analysis):
                 inner = fn.result.result
             return self.join(init, inner)
         if op == "tuple":
-            return Pair(data(enode.children[0]), data(enode.children[1]))
+            return _widen(Pair(data(enode.children[0]), data(enode.children[1])))
         if op == "fst":
             tup = data(enode.children[0])
             if isinstance(tup, Pair):

@@ -16,15 +16,17 @@ A pattern mirrors the term grammar with three extensions:
 * Concrete nodes (:class:`PNode`) match e-nodes with the same operator
   tag and payload.
 
-Matching is generator-based backtracking over the e-nodes of each
-class.  Bindings map metavariable names to :class:`Binding` values and
-size-variable names to ints.
+Matching lives in :mod:`repro.egraph.matcher`, which compiles each
+pattern into a specialized Python generator.  A match is a bindings
+dict mapping metavariable names to :class:`Binding` values and
+size-variable names to ints.  This module also instantiates patterns
+(a rule's right-hand side) under such bindings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple as TupleT, Union
+from typing import Dict, Optional, Tuple as TupleT, Union
 
 from ..ir.debruijn import shift as shift_term
 from ..ir.terms import (
@@ -54,10 +56,7 @@ __all__ = [
     "TermBinding",
     "Bindings",
     "pattern_of_term",
-    "match_class",
-    "match_enode_root",
     "instantiate",
-    "pattern_root_ops",
 ]
 
 
@@ -85,9 +84,6 @@ class SizeVar:
     """Metavariable over compile-time array sizes."""
 
     name: str
-
-
-SizeSpec = Union[int, SizeVar]
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,126 +163,6 @@ def pattern_of_term(term: Term, sizes: Optional[Dict[int, str]] = None) -> Patte
     if op in ("build", "ifold") and payload in sizes:
         payload = SizeVar(sizes[payload])  # type: ignore[assignment]
     return PNode(op, payload, tuple(pattern_of_term(c, sizes) for c in child_terms))
-
-
-# ---------------------------------------------------------------------------
-# Matching
-# ---------------------------------------------------------------------------
-
-
-def _bind_size(bindings: Bindings, spec: SizeSpec, value: object) -> Optional[Bindings]:
-    if isinstance(spec, SizeVar):
-        existing = bindings.get(spec.name)
-        if existing is None:
-            updated = dict(bindings)
-            updated[spec.name] = value
-            return updated
-        return bindings if existing == value else None
-    return bindings if spec == value else None
-
-
-def _bind_var(
-    egraph: EGraph, bindings: Bindings, pvar: PVar, class_id: int
-) -> Iterator[Bindings]:
-    class_id = egraph.find(class_id)
-    existing = bindings.get(pvar.name)
-    if pvar.shift == 0 and not pvar.as_term:
-        if existing is None:
-            updated = dict(bindings)
-            updated[pvar.name] = ClassBinding(class_id)
-            yield updated
-        elif isinstance(existing, ClassBinding):
-            if egraph.find(existing.class_id) == class_id:
-                yield bindings
-        elif isinstance(existing, TermBinding):
-            # Mixed mode: accept when some small representative of the
-            # class equals the previously bound term.
-            if existing.term in egraph.extract_candidates(class_id):
-                yield bindings
-        return
-    # Term binding (possibly unshifted).  Each candidate representative
-    # of the class that avoids the forbidden bound variables yields a
-    # distinct binding; candidates are few (see extract_candidates).
-    for term in egraph.unshifted_candidates(class_id, pvar.shift):
-        if existing is None:
-            updated = dict(bindings)
-            updated[pvar.name] = TermBinding(term)
-            yield updated
-            continue
-        if isinstance(existing, TermBinding) and existing.term == term:
-            yield bindings
-            return
-        if isinstance(existing, ClassBinding):
-            if egraph.find(existing.class_id) == class_id and pvar.shift == 0:
-                yield bindings
-                return
-
-
-def match_class(
-    egraph: EGraph, pattern: Pattern, class_id: int, bindings: Optional[Bindings] = None
-) -> Iterator[Bindings]:
-    """Yield every binding under which ``pattern`` matches ``class_id``."""
-    bindings = bindings if bindings is not None else {}
-    if isinstance(pattern, PVar):
-        yield from _bind_var(egraph, bindings, pattern, class_id)
-        return
-    assert isinstance(pattern, PNode)
-    class_id = egraph.find(class_id)
-    for enode in list(egraph.nodes_of(class_id)):
-        if enode.op != pattern.op:
-            continue
-        yield from _match_children(egraph, pattern, enode, bindings)
-
-
-def match_enode_root(
-    egraph: EGraph, pattern: PNode, enode, bindings: Optional[Bindings] = None
-) -> Iterator[Bindings]:
-    """Match a concrete pattern against one specific root e-node."""
-    bindings = bindings if bindings is not None else {}
-    if enode.op != pattern.op:
-        return
-    yield from _match_children(egraph, pattern, enode, bindings)
-
-
-def _match_children(
-    egraph: EGraph, pattern: PNode, enode, bindings: Bindings
-) -> Iterator[Bindings]:
-    # Payload / size handling.
-    if pattern.op in ("build", "ifold"):
-        bound = _bind_size(bindings, pattern.payload, enode.payload)  # type: ignore[arg-type]
-        if bound is None:
-            return
-        bindings = bound
-    elif pattern.payload != enode.payload:
-        return
-    if len(pattern.children) != len(enode.children):
-        return
-    yield from _match_sequence(egraph, pattern.children, enode.children, bindings)
-
-
-def _match_sequence(
-    egraph: EGraph,
-    patterns: TupleT[Pattern, ...],
-    class_ids: TupleT[int, ...],
-    bindings: Bindings,
-) -> Iterator[Bindings]:
-    if not patterns:
-        yield bindings
-        return
-    head_pattern, *rest_patterns = patterns
-    head_class, *rest_classes = class_ids
-    for partial in match_class(egraph, head_pattern, head_class, bindings):
-        yield from _match_sequence(
-            egraph, tuple(rest_patterns), tuple(rest_classes), partial
-        )
-
-
-def pattern_root_ops(pattern: Pattern) -> Optional[str]:
-    """The root operator tag of a concrete pattern, or ``None`` for a
-    bare metavariable (matches everything)."""
-    if isinstance(pattern, PNode):
-        return pattern.op
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..ir.debruijn import shift as shift_term, subst
 from ..ir.terms import App, Index, Lam, Term, Build, Fst, Snd, Tuple as TupleTerm
 from .egraph import ClassRef, EGraph
+from .matcher import compile_pattern
 from .pattern import (
     Bindings,
     ClassBinding,
@@ -96,6 +97,12 @@ class Rule:
     # reads it to verify binding, hygiene, and shape preservation.
     # Dynamic/function appliers leave it ``None``.
     rhs: Optional[Pattern] = None
+
+    def __post_init__(self) -> None:
+        # Compile the searcher up front.  Programs are cached by pattern
+        # value, so the rule sets built per target (and per served
+        # request) share one program per distinct pattern.
+        compile_pattern(self.searcher)
 
     def search(self, egraph: EGraph) -> List[Match]:
         """All matches of the searcher in the current e-graph.

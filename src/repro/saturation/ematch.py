@@ -32,7 +32,8 @@ import time
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..egraph.egraph import EGraph
-from ..egraph.pattern import PNode, match_class
+from ..egraph.matcher import compile_pattern
+from ..egraph.pattern import PNode
 from ..egraph.rewrite import Match, Rule
 
 __all__ = ["parent_closure", "search_rule", "IncrementalMatcher"]
@@ -76,6 +77,8 @@ def search_rule(
     run's time limit; partial results are still valid matches.
     """
     matches: List[Match] = []
+    program = compile_pattern(rule.searcher)
+    limit = rule.match_limit
     root_op = rule.searcher.op if isinstance(rule.searcher, PNode) else None
     if root_op is None:
         candidates = egraph.class_ids()
@@ -89,9 +92,10 @@ def search_rule(
             continue  # merged away since the op index was built
         if restrict is not None and egraph.find(class_id) not in restrict:
             continue
-        for bindings in match_class(egraph, rule.searcher, class_id):
-            matches.append(Match(egraph.find(class_id), bindings))
-            if len(matches) >= rule.match_limit:
+        # ``has_class`` held, so ``class_id`` is canonical.
+        for bindings in program(egraph, class_id):
+            matches.append(Match(class_id, bindings))
+            if len(matches) >= limit:
                 return matches
     return matches
 

@@ -30,7 +30,9 @@ step cannot overshoot the budget.
 
 from __future__ import annotations
 
+import gc
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -151,6 +153,55 @@ class AppliedSet:
         # a signature being replaced; one may equal a kept signature.
         for signature in affected:
             self.add(_canonicalize_signature(find, signature))
+
+
+class _HeapFreeze:
+    """Keeps the cyclic garbage collector off the e-graphs of live runs.
+
+    A saturation run allocates a large, long-lived and acyclic object
+    graph (e-nodes, classes, terms), so every full collection rescans a
+    heap that only grows, and frees nothing: refcounting already frees
+    what dies.  :meth:`freeze` (called after each step's rebuild) moves
+    every tracked object into the permanent generation, which
+    collections skip; :meth:`leave` unfreezes once the last run active
+    in the process ends, so frozen objects do not outlive the runs
+    that needed the freeze.  The count of active runs is shared by
+    concurrent runs (serve queue threads), hence the lock.  A child
+    forked mid-run (pool workers) starts with no active run but keeps
+    the inherited heap frozen: unfreezing it would have the child's
+    next full collection touch, and so copy, every inherited page.
+    The first run to end in the child unfreezes it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._active = 0
+
+    def enter(self) -> None:
+        with self._lock:
+            self._active += 1
+
+    def freeze(self) -> None:
+        with self._lock:
+            if self._active:
+                gc.freeze()
+
+    def leave(self) -> None:
+        with self._lock:
+            self._active -= 1
+            if not self._active:
+                gc.unfreeze()
+
+    def after_fork_in_child(self) -> None:
+        # The runs of the parent's threads do not continue in the child,
+        # and the lock may have been held by one of them at the fork.
+        self._lock = threading.Lock()
+        self._active = 0
+
+
+_HEAP_FREEZE = _HeapFreeze()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_HEAP_FREEZE.after_fork_in_child)
 
 
 class StopReason:
@@ -362,6 +413,7 @@ class Runner:
         ))
         stop_reason = StopReason.STEP_LIMIT
         applied = AppliedSet()
+        _HEAP_FREEZE.enter()
         try:
             stop_reason = self._run_steps(
                 egraph, scheduler, matcher, searcher, contexts, applied,
@@ -372,6 +424,7 @@ class Runner:
             # Shut the pool down and unlink the published snapshot even
             # when extraction or a rule applier raises.
             searcher.close()
+            _HEAP_FREEZE.leave()
         # Provenance feeds telemetry: how many of each rule's logged
         # events touched a class of any recorded per-step solution.
         for rule_stats in stats:
@@ -524,6 +577,8 @@ class Runner:
                     if len(applied) > self.applied_cap:
                         applied.clear()
             phases.rebuild = rebuild_span.duration
+            # The graph only grows: keep full collections off it.
+            _HEAP_FREEZE.freeze()
 
             # --- record (+ extract) ------------------------------------
             with tracer.span("extract", cat=CAT_EXTRACT) as extract_span:
@@ -681,6 +736,10 @@ class Runner:
             timed_out = True
 
         # --- commit: telemetry, dedup, admission — in rule order ------
+        # Its own span: building signatures and probing the applied
+        # set is search-phase time outside every rule's search_seconds.
+        dedup_span = self.tracer.span("search.dedup", cat=CAT_PHASE)
+        dedup_span.__enter__()
         for rule_index, restrict in tasks:
             rule = self.rules[rule_index]
             rule_stats = stats[rule_index]
@@ -724,6 +783,7 @@ class Runner:
             for signature, match in admitted:
                 applied.add(signature)
                 matches.append((rule_stats, rule, match))
+        dedup_span.done()
         return matches, any_restricted, timed_out
 
     def _record(

@@ -100,6 +100,28 @@ class TestOptimizationReport:
         assert report.best_term == result.best_term  # parses back to the term
         assert report.ok
 
+    def test_time_truncated_reports_are_not_deterministic(self):
+        for stop_reason, expected in (
+            ("saturated", True), ("step_limit", True),
+            ("node_limit", True), ("time_limit", False),
+        ):
+            report = self._report(stop_reason=stop_reason)
+            assert report.deterministic is expected
+            data = json.loads(report.to_json())
+            assert data["deterministic"] is expected
+            clone = OptimizationReport.from_json(report.to_json())
+            assert clone == report and clone.deterministic is expected
+
+    def test_from_result_marks_a_time_limited_run(self):
+        from repro.api import Session
+
+        session = Session(Limits(step_limit=50, time_limit=1e-6))
+        result = session.optimize("gemv", "blas")
+        report = OptimizationReport.from_result(result, session.limits)
+        assert report.stop_reason == "time_limit"
+        assert report.deterministic is False
+        assert json.loads(report.to_json())["deterministic"] is False
+
     def test_error_report(self):
         report = OptimizationReport.from_error(
             {"kernel": "gemv", "target": "blas", "limits": {}}, "boom"

@@ -412,28 +412,10 @@ class _PropagateEveryMerge(EGraph):
         return root
 
 
-def _reaches(eg, source, target):
-    """True when class ``target`` is ``source`` or below it."""
-    target = eg.find(target)
-    stack, seen = [eg.find(source)], set()
-    while stack:
-        class_id = stack.pop()
-        if class_id == target:
-            return True
-        if class_id not in seen:
-            seen.add(class_id)
-            stack.extend(
-                eg.find(child)
-                for node in eg.nodes_of(class_id) for child in node.children
-            )
-    return False
-
-
-def _run_schedule(graphs, schedule, after_rebuild, acyclic=False):
+def _run_schedule(graphs, schedule, after_rebuild):
     """Apply ``schedule`` to every graph alike; merges pick any class id
     ever created, subterms' included, so parents see their children's
-    data change.  ``acyclic`` skips the merges that would close a cycle
-    (shapes grow without bound around a cycle through a tuple)."""
+    data change, and may close cycles through constructors."""
     for mutation in schedule:
         if mutation[0] == "add":
             for eg in graphs:
@@ -443,10 +425,6 @@ def _run_schedule(graphs, schedule, after_rebuild, acyclic=False):
             if not count:
                 continue
             a, b = mutation[1] % count, mutation[2] % count
-            if acyclic and (
-                _reaches(graphs[0], a, b) or _reaches(graphs[0], b, a)
-            ):
-                continue
             for eg in graphs:
                 eg.merge(a, b)
         else:
@@ -467,7 +445,7 @@ def test_shape_analysis_reaches_fixpoint_after_every_rebuild(schedule):
         findings = verify(eg, snapshot=False)
         assert not [f for f in findings if f.code == "EG108"], findings
 
-    _run_schedule([eg], schedule, no_eg108, acyclic=True)
+    _run_schedule([eg], schedule, no_eg108)
 
 
 @given(st.lists(_SHAPED_MUTATION, min_size=1, max_size=24))
@@ -482,6 +460,33 @@ def test_order_free_analysis_matches_propagating_every_merge(schedule):
             assert eg.data_of(class_id) == reference.data_of(class_id)
 
     _run_schedule([eg, reference], schedule, same_data)
+
+
+class TestShapeWidening:
+    """Around a cycle through a constructor the shape would nest one
+    level deeper on every propagation round; it widens to Unknown at
+    MAX_SHAPE_DEPTH instead, and propagation reaches a fixpoint."""
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda t: Tuple(t, Symbol("s")),
+            lambda t: b.lam(t),
+            lambda t: Tuple(Symbol("s"), b.lam(t)),
+        ],
+        ids=["tuple", "lam", "tuple-of-lam"],
+    )
+    def test_cycle_through_a_constructor_terminates(self, wrap):
+        from repro.egraph.analysis import MAX_SHAPE_DEPTH, shape_depth
+
+        eg = EGraph(ShapeAnalysis(_SHAPED_SYMBOLS))
+        u = eg.add_term(Symbol("u"))
+        eg.merge(u, eg.add_term(wrap(Symbol("u"))))
+        eg.rebuild()
+        assert eg._analysis_pending == []
+        assert not [f for f in verify(eg, snapshot=False) if f.code == "EG108"]
+        for class_id in eg.class_ids():
+            assert shape_depth(eg.data_of(class_id)) <= MAX_SHAPE_DEPTH
 
 
 class TestAnalysisPropagationQueue:

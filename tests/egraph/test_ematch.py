@@ -3,7 +3,7 @@ variables, instantiation."""
 
 import pytest
 
-from repro.egraph import EGraph
+from repro.egraph import EGraph, match_class
 from repro.egraph.pattern import (
     ClassBinding,
     PNode,
@@ -11,7 +11,6 @@ from repro.egraph.pattern import (
     SizeVar,
     TermBinding,
     instantiate,
-    match_class,
 )
 from repro.ir import builders as b, parse
 from repro.ir.terms import Const, Symbol

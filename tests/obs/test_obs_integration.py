@@ -198,6 +198,28 @@ def test_rebuild_sub_phase_spans_nest_in_rebuild():
         assert record.phases.rebuild == event["dur"]
 
 
+def test_search_dedup_span_nests_in_search():
+    """Every ``search`` phase span holds a ``search.dedup`` child per
+    search pass (two when a restricted step re-verifies with a full
+    scan), and the step's recorded search time is the parent span's."""
+    tracer = Tracer()
+    result = optimize(registry.get("dot"), make_target("blas"),
+                      trace=tracer, **LIMITS)
+    searches = [e for e in tracer.events if e["name"] == "search"]
+    assert len(searches) == result.run.num_steps
+    for event, record in zip(searches, result.steps[1:]):
+        end = event["ts"] + event["dur"]
+        inside = [e for e in tracer.events
+                  if e["name"] == "search.dedup"
+                  and event["ts"] <= e["ts"] and e["ts"] + e["dur"] <= end]
+        assert 1 <= len(inside) <= 2
+        assert all(e["cat"] == "phase" for e in inside)
+        assert sum(e["dur"] for e in inside) <= event["dur"]
+        assert record.phases.search == event["dur"]
+    dedups = [e for e in tracer.events if e["name"] == "search.dedup"]
+    assert len(dedups) >= len(searches)
+
+
 def test_rule_profile_phase_aggregation():
     from repro.saturation.telemetry import aggregate_phase_seconds
 
