@@ -36,12 +36,6 @@ PARTIAL_RUN_KNOBS = (
     "REPRO_NODE_LIMIT",
     "REPRO_TIME_LIMIT",
     "REPRO_SCHEDULER",
-    "REPRO_INCREMENTAL",
-    # Parallel search is byte-identical to serial by design, but a run
-    # under this knob is exactly what the nightly determinism workflow
-    # wants in subset/ so it can diff against the canonical files.
-    "REPRO_SEARCH_WORKERS",
-    "REPRO_APPLY_WORKERS",
     "REPRO_RULE_PROFILE",
 )
 

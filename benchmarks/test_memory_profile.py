@@ -1,29 +1,18 @@
-"""Memory profile artifact: peak RSS and snapshot sizes per pinned run.
+"""Memory profile artifact: peak RSS and graph sizes per pinned run.
 
-The flat-store worker protocol promises that per-step snapshot cost is
-one columnar memcpy in the parent and an O(1) attach in workers —
-nothing that scales with the number of live Python objects.  This
-module measures the observable side of that promise and writes it to
-``REPRO_MEM_REPORT`` (default ``mem_profile.json``, git-ignored; CI
-uploads it as an artifact so memory trends stay inspectable across
-commits without gating merges):
+Writes to ``REPRO_MEM_REPORT`` (default ``mem_profile.json``,
+git-ignored; CI uploads it as an artifact so memory trends stay
+inspectable across commits without gating merges):
 
 * ``peak_rss_kb`` — the process high-water mark after the pinned
   tier-1 runs (``repro.obs.metrics.peak_rss_kb``, i.e. ``ru_maxrss``);
-* per run: e-node / e-class counts and the byte size of the final
-  e-graph's frozen :class:`~repro.egraph.store.FlatStore` arrays —
-  what one published shared-memory segment costs at that graph size;
+* per run: the final e-graph's e-node / e-class counts;
 * ``metrics`` — the same numbers as a ``repro-metrics/1``
   :class:`~repro.obs.metrics.MetricsRegistry` snapshot (peak RSS as
   the auto-populated ``process`` gauge, per-run store gauges labeled
   by run), so the memory profile speaks the one metrics schema the
   rest of the stack exports and can be merged/rendered like any other
   snapshot (e.g. ``to_prometheus``).
-
-The only hard assertions are sanity bounds: snapshots must be
-columnar-sized (tens of bytes per e-node, not the KBs per node that
-pickled object graphs cost), which would catch an accidental return to
-object serialization.
 """
 
 import json
@@ -56,22 +45,15 @@ def mem_report():
     for kernel, target in pairs:
         result = optimize_pair(kernel, target)
         egraph = result.egraph
-        store = egraph.freeze()
         run = f"{kernel}/{target}"
         entries[run] = {
             "enodes": egraph.num_nodes,
             "eclasses": egraph.num_classes,
-            "snapshot_bytes": store.nbytes,
-            "snapshot_bytes_per_enode": round(
-                store.nbytes / max(1, egraph.num_nodes), 1
-            ),
         }
         registry.set("store", "enodes", egraph.num_nodes,
                      help="e-nodes in the final graph", run=run)
         registry.set("store", "eclasses", egraph.num_classes,
                      help="canonical e-classes in the final graph", run=run)
-        registry.set("pool", "snapshot_bytes", store.nbytes,
-                     help="frozen FlatStore size (bytes)", run=run)
     report = {
         "schema": REPORT_SCHEMA,
         # peak_rss_kb stays a top-level key for back-compat with
@@ -98,16 +80,5 @@ def test_metrics_snapshot_carries_process_gauge(mem_report):
     families = mem_report["metrics"]["families"]
     samples = families["process"]["peak_rss_kb"]["samples"]
     assert samples[0]["value"] >= mem_report["peak_rss_kb"]
-    assert set(families) >= {"process", "store", "pool"}
+    assert set(families) >= {"process", "store"}
 
-
-def test_snapshots_are_columnar_sized(mem_report):
-    """A snapshot is nine int64 arrays — order tens of bytes per
-    e-node.  Hundreds would mean object-graph serialization crept back
-    into the worker protocol."""
-    for key, entry in mem_report["entries"].items():
-        assert entry["snapshot_bytes"] > 0, key
-        assert entry["snapshot_bytes_per_enode"] < 500, (
-            f"{key}: {entry['snapshot_bytes_per_enode']} bytes/e-node — "
-            "snapshot no longer columnar?"
-        )

@@ -166,33 +166,3 @@ def test_solutions_still_found(fresh_runs):
     for key, result in runs.items():
         assert result.best_term is not None, key
         assert result.final.library_calls, key
-
-
-def test_effective_parallelism(fresh_runs):
-    """When the gate itself runs with workers on real cores, assert the
-    workers actually worked: summed per-rule search seconds must exceed
-    the search wall clock by a real margin (``search_cpu / search``,
-    the effective parallelism).  On fewer than 4 CPUs the workers
-    time-slice and the ratio is meaningless, so the assertion is
-    skipped — see CONTRIBUTING.md on `parallel_ablation.csv`."""
-    _, runs = fresh_runs
-    workers = int(os.environ.get("REPRO_SEARCH_WORKERS", "1") or "1")
-    if workers < 2:
-        pytest.skip("gate running serial (REPRO_SEARCH_WORKERS unset)")
-    cpus = os.cpu_count() or 1
-    if cpus < 4:
-        pytest.skip(f"only {cpus} CPUs: workers time-slice, ratio is noise")
-    ratios = {}
-    for key, result in runs.items():
-        if result.run.parallel_steps == 0:
-            continue  # pool fell back serial (documented degradation)
-        totals = result.run.total_phases()
-        if totals.search > 0.05:  # below that, wall noise dominates
-            ratios[key] = totals.search_cpu / totals.search
-    if not ratios:
-        pytest.skip("no run searched long enough to measure parallelism")
-    best = max(ratios.values())
-    assert best > 1.5, (
-        f"search workers show no effective parallelism: best "
-        f"search_cpu/search ratio {best:.2f} across {sorted(ratios)}"
-    )

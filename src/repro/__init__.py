@@ -36,7 +36,7 @@ The layers underneath:
 * :mod:`repro.ir` — the minimalist functional array IR (§IV);
 * :mod:`repro.egraph` — an egg-style equality-saturation engine (§II);
 * :mod:`repro.saturation` — the saturation engine (schedulers,
-  incremental/parallel e-matching, telemetry, pruning);
+  incremental e-matching, telemetry, pruning);
 * :mod:`repro.extraction` — the extraction engine (greedy/DAG
   extractors, top-k enumeration, rule provenance);
 * :mod:`repro.rules` — core / scalar / BLAS / PyTorch rewrite rules
@@ -102,7 +102,6 @@ def optimize(
     node_limit: Optional[int] = None,
     time_limit: Optional[float] = None,
     scheduler: Optional[str] = None,
-    search_workers: Optional[int] = None,
     rule_profile: Optional[str] = None,
     extractor: Optional[str] = None,
     top_k: Optional[int] = None,
@@ -121,7 +120,6 @@ def optimize(
         node_limit=node_limit,
         time_limit=time_limit,
         scheduler=scheduler,
-        search_workers=search_workers,
         rule_profile=rule_profile,
         extractor=extractor,
         top_k=top_k,
@@ -137,7 +135,6 @@ def optimize_term(
     node_limit: Optional[int] = None,
     time_limit: Optional[float] = None,
     scheduler: Optional[str] = None,
-    search_workers: Optional[int] = None,
     rule_profile: Optional[str] = None,
     extractor: Optional[str] = None,
     top_k: Optional[int] = None,
@@ -154,7 +151,6 @@ def optimize_term(
         node_limit=node_limit,
         time_limit=time_limit,
         scheduler=scheduler,
-        search_workers=search_workers,
         rule_profile=rule_profile,
         extractor=extractor,
         top_k=top_k,

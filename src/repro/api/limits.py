@@ -13,12 +13,6 @@ all resolve through it, and the environment knobs
 * ``REPRO_NODE_LIMIT`` — e-node budget,
 * ``REPRO_TIME_LIMIT`` — wall-clock cap in seconds,
 * ``REPRO_SCHEDULER`` — rule scheduler (``simple`` or ``backoff``),
-* ``REPRO_SEARCH_WORKERS`` — process-pool fan-out of rule searches
-  within each saturation step (1 = serial; results are byte-identical
-  either way, see :mod:`repro.saturation.parallel`),
-* ``REPRO_APPLY_WORKERS`` — process-pool fan-out of the apply phase:
-  workers precompute pure appliers' result terms, the parent commits
-  them in canonical order (1 = serial; byte-identical either way),
 * ``REPRO_RULE_PROFILE`` — path to a recorded ``--rule-profile`` JSON
   used to prune historically wasteful rules before the run
   (:mod:`repro.saturation.pruning`),
@@ -33,8 +27,8 @@ all resolve through it, and the environment knobs
   on the first violation (off by default: the sweep is O(graph) per
   step and exists for debugging/CI, not the hot path),
 * ``REPRO_TRACE`` — path to write a Chrome-trace-event JSON of the run
-  (session/request/step/phase/rule spans plus worker lanes; open it in
-  Perfetto — :mod:`repro.obs.trace`; off by default),
+  (session/request/step/phase/rule spans plus run-worker lanes; open
+  it in Perfetto — :mod:`repro.obs.trace`; off by default),
 * ``REPRO_METRICS`` — ``1``/``true`` populates the metrics registry
   (:mod:`repro.obs.metrics`) during the run and snapshots it onto
   ``OptimizationReport.metrics`` (off by default),
@@ -83,16 +77,12 @@ KNOBS: Tuple[Knob, ...] = (
          "wall-clock cap per run, seconds"),
     Knob("scheduler", "REPRO_SCHEDULER", "--scheduler", "simple",
          "rule scheduler: 'simple' or egg-style 'backoff'"),
-    Knob("search_workers", "REPRO_SEARCH_WORKERS", "--search-workers", 1,
-         "parallel e-matching fan-out (1 = serial, byte-identical)"),
     Knob("rule_profile", "REPRO_RULE_PROFILE", "--prune-from-profile", None,
          "recorded rule-profile JSON driving pre-run rule pruning"),
     Knob("extractor", "REPRO_EXTRACTOR", "--extractor", "greedy",
          "extraction strategy: 'greedy' (tree cost) or 'dag'"),
     Knob("top_k", "REPRO_TOP_K", "--top-k", 1,
          "enumerate the K cheapest distinct solutions"),
-    Knob("apply_workers", "REPRO_APPLY_WORKERS", "--apply-workers", 1,
-         "parallel apply-planning fan-out (1 = serial, byte-identical)"),
     Knob("check", "REPRO_CHECK", "--check", False,
          "verify e-graph invariants after every step"),
     Knob("trace", "REPRO_TRACE", "--trace", None,
@@ -104,8 +94,7 @@ KNOBS: Tuple[Knob, ...] = (
 #: Numeric budget fields a serving tenant can be capped on
 #: (:meth:`Limits.exceeding`; see ``repro.server.admission``).
 CAPPABLE_FIELDS: Tuple[str, ...] = (
-    "step_limit", "node_limit", "time_limit",
-    "search_workers", "apply_workers", "top_k",
+    "step_limit", "node_limit", "time_limit", "top_k",
 )
 
 
@@ -136,11 +125,9 @@ class Limits:
     node_limit: int = 12_000
     time_limit: float = 120.0
     scheduler: str = "simple"
-    search_workers: int = 1
     rule_profile: Optional[str] = None
     extractor: str = "greedy"
     top_k: int = 1
-    apply_workers: int = 1
     check: bool = False
     trace: Optional[str] = None
     metrics: bool = False
@@ -156,14 +143,6 @@ class Limits:
             raise ValueError(
                 f"scheduler must be one of {SCHEDULER_NAMES}, "
                 f"got {self.scheduler!r}"
-            )
-        if self.search_workers < 1:
-            raise ValueError(
-                f"search_workers must be >= 1, got {self.search_workers}"
-            )
-        if self.apply_workers < 1:
-            raise ValueError(
-                f"apply_workers must be >= 1, got {self.apply_workers}"
             )
         if self.extractor not in EXTRACTOR_NAMES:
             raise ValueError(
@@ -183,15 +162,9 @@ class Limits:
             node_limit=int(env.get("REPRO_NODE_LIMIT", base.node_limit)),
             time_limit=float(env.get("REPRO_TIME_LIMIT", base.time_limit)),
             scheduler=env.get("REPRO_SCHEDULER", base.scheduler),
-            search_workers=int(
-                env.get("REPRO_SEARCH_WORKERS", base.search_workers)
-            ),
             rule_profile=env.get("REPRO_RULE_PROFILE") or None,
             extractor=env.get("REPRO_EXTRACTOR", base.extractor),
             top_k=int(env.get("REPRO_TOP_K", base.top_k)),
-            apply_workers=int(
-                env.get("REPRO_APPLY_WORKERS", base.apply_workers)
-            ),
             check=env.get("REPRO_CHECK", "").strip().lower()
             in ("1", "true", "yes", "on"),
             trace=env.get("REPRO_TRACE") or None,
@@ -205,11 +178,9 @@ class Limits:
         node_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
         scheduler: Optional[str] = None,
-        search_workers: Optional[int] = None,
         rule_profile: Optional[str] = None,
         extractor: Optional[str] = None,
         top_k: Optional[int] = None,
-        apply_workers: Optional[int] = None,
         check: Optional[bool] = None,
         trace: Optional[str] = None,
         metrics: Optional[bool] = None,
@@ -225,11 +196,9 @@ class Limits:
                 ("node_limit", node_limit),
                 ("time_limit", time_limit),
                 ("scheduler", scheduler),
-                ("search_workers", search_workers),
                 ("rule_profile", rule_profile),
                 ("extractor", extractor),
                 ("top_k", top_k),
-                ("apply_workers", apply_workers),
                 ("check", check),
                 ("trace", trace),
                 ("metrics", metrics),
@@ -245,11 +214,9 @@ class Limits:
             "node_limit": self.node_limit,
             "time_limit": self.time_limit,
             "scheduler": self.scheduler,
-            "search_workers": self.search_workers,
             "rule_profile": self.rule_profile,
             "extractor": self.extractor,
             "top_k": self.top_k,
-            "apply_workers": self.apply_workers,
             "check": self.check,
             "trace": self.trace,
             "metrics": self.metrics,
@@ -266,13 +233,11 @@ class Limits:
             time_limit=float(data["time_limit"]),
             # Reports and cache entries written before a knob existed
             # carry no key for it; they ran with the knob's default
-            # (simple scheduler, serial search, no pruning).
+            # (simple scheduler, no pruning).
             scheduler=str(data.get("scheduler", "simple")),
-            search_workers=int(data.get("search_workers", 1)),
             rule_profile=data.get("rule_profile") or None,
             extractor=str(data.get("extractor", "greedy")),
             top_k=int(data.get("top_k", 1)),
-            apply_workers=int(data.get("apply_workers", 1)),
             check=bool(data.get("check", False)),
             trace=data.get("trace") or None,
             metrics=bool(data.get("metrics", False)),
@@ -303,25 +268,20 @@ class Limits:
     def key(self) -> tuple:
         """Hashable cache-key fragment.
 
-        ``search_workers`` and ``apply_workers`` are deliberately
-        *excluded*: parallel search and apply are guaranteed
-        byte-identical to serial (matches are merged and committed in
-        canonical rule order), so a cached serial result answers a
-        parallel request and vice versa.  ``rule_profile`` changes the
-        rule set, hence the results — but only joins the key when set,
-        so every pre-pruning cache entry stays valid.  It joins as a
-        *content* digest, not the path: the persistent disk cache must
-        not serve stale results after the profile file at the same
-        path is re-recorded (and two directories' unrelated
-        ``p.json`` files must not collide in a shared cache).
-        ``extractor`` and ``top_k`` likewise join only when
-        non-default, so every pre-extraction-engine cache entry stays
-        valid — and since both change the produced report (preferred
-        solutions, candidate lists), they must join when set.
-        ``check`` is excluded like the worker counts: the invariant
-        verifier observes the run without changing its results — and
-        ``trace`` / ``metrics`` are excluded for the same reason
-        (observability never changes what a run computes).
+        ``rule_profile`` changes the rule set, hence the results — but
+        only joins the key when set, so every pre-pruning cache entry
+        stays valid.  It joins as a *content* digest, not the path: the
+        persistent disk cache must not serve stale results after the
+        profile file at the same path is re-recorded (and two
+        directories' unrelated ``p.json`` files must not collide in a
+        shared cache).  ``extractor`` and ``top_k`` likewise join only
+        when non-default, so every pre-extraction-engine cache entry
+        stays valid — and since both change the produced report
+        (preferred solutions, candidate lists), they must join when
+        set.  ``check`` is excluded: the invariant verifier observes
+        the run without changing its results — and ``trace`` /
+        ``metrics`` are excluded for the same reason (observability
+        never changes what a run computes).
         """
         base = (self.step_limit, self.node_limit, self.time_limit,
                 self.scheduler)

@@ -25,6 +25,7 @@ Typical use::
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import weakref
 from time import perf_counter
@@ -111,11 +112,22 @@ def _execute_payload(payload: dict, registry: TargetRegistry,
         ).to_dict()
 
 
-# One fork-safety policy for the whole codebase: the run-level process
-# pool here and the search-level pool inside the saturation engine must
-# agree on when forking the parent is safe.
-from ..saturation.parallel import fork_available as _fork_available
 from ..saturation.runner import StopReason
+
+
+def fork_available() -> bool:
+    """Whether fork-based worker pools are safe to use here.
+
+    macOS *offers* the fork start method but forking a threaded /
+    Objective-C-runtime parent there is notoriously crash-prone (which
+    is why spawn became its default); treat it as fork-less and run
+    in-process, as documented.
+    """
+    import multiprocessing
+
+    if sys.platform == "darwin":
+        return False
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def _evict_adhoc(
@@ -198,7 +210,7 @@ class Session:
         with self._pool_lock:
             if self._persistent_pool is not None:
                 return True
-            if not _fork_available():
+            if not fork_available():
                 return False
             import multiprocessing
 
@@ -297,18 +309,15 @@ class Session:
         node_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
         scheduler: Optional[str] = None,
-        search_workers: Optional[int] = None,
         rule_profile: Optional[str] = None,
         extractor: Optional[str] = None,
         top_k: Optional[int] = None,
-        apply_workers: Optional[int] = None,
         check: Optional[bool] = None,
         trace: Optional[str] = None,
         metrics: Optional[bool] = None,
     ) -> Limits:
         return self.limits.override(step_limit, node_limit, time_limit,
-                                    scheduler, search_workers, rule_profile,
-                                    extractor, top_k, apply_workers,
+                                    scheduler, rule_profile, extractor, top_k,
                                     check=check, trace=trace, metrics=metrics)
 
     @property
@@ -330,11 +339,9 @@ class Session:
         node_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
         scheduler: Optional[str] = None,
-        search_workers: Optional[int] = None,
         rule_profile: Optional[str] = None,
         extractor: Optional[str] = None,
         top_k: Optional[int] = None,
-        apply_workers: Optional[int] = None,
         check: Optional[bool] = None,
         trace: Union[None, str, "object"] = None,
         metrics: Optional[bool] = None,
@@ -356,11 +363,9 @@ class Session:
             node_limit=node_limit,
             time_limit=time_limit,
             scheduler=scheduler,
-            search_workers=search_workers,
             rule_profile=rule_profile,
             extractor=extractor,
             top_k=top_k,
-            apply_workers=apply_workers,
             check=check,
             trace=trace,
             metrics=metrics,
@@ -377,11 +382,9 @@ class Session:
         node_limit: Optional[int] = None,
         time_limit: Optional[float] = None,
         scheduler: Optional[str] = None,
-        search_workers: Optional[int] = None,
         rule_profile: Optional[str] = None,
         extractor: Optional[str] = None,
         top_k: Optional[int] = None,
-        apply_workers: Optional[int] = None,
         check: Optional[bool] = None,
         trace: Union[None, str, "object"] = None,
         metrics: Optional[bool] = None,
@@ -401,8 +404,7 @@ class Session:
 
         caller_tracer = trace if isinstance(trace, Tracer) else None
         limits = self.resolve_limits(step_limit, node_limit, time_limit,
-                                     scheduler, search_workers, rule_profile,
-                                     extractor, top_k, apply_workers,
+                                     scheduler, rule_profile, extractor, top_k,
                                      check=check,
                                      trace=trace if isinstance(trace, str)
                                      else None,
@@ -655,8 +657,8 @@ class Session:
             )
         limits = self.resolve_limits(
             request.step_limit, request.node_limit, request.time_limit,
-            request.scheduler, request.search_workers, request.rule_profile,
-            request.extractor, request.top_k, request.apply_workers,
+            request.scheduler, request.rule_profile, request.extractor,
+            request.top_k,
             check=request.check, trace=request.trace,
             metrics=request.metrics,
         )
@@ -713,7 +715,7 @@ class Session:
             and self.registry is target_registry
             and self.kernels is default_kernel_registry
             and (
-                _fork_available()
+                fork_available()
                 or all(p["target"] in BUILTIN_TARGETS for p in payloads)
             )
         )
@@ -820,7 +822,7 @@ class Session:
             if max_workers is None or max_workers < 1:
                 max_workers = min(len(payloads), os.cpu_count() or 2, 8)
             context = None
-            if _fork_available():
+            if fork_available():
                 # Fork inherits runtime-registered targets and the
                 # kernel registry; spawn would only see import-time
                 # registrations.

@@ -43,11 +43,9 @@ __all__ = [
 VOLATILE_REPORT_FIELDS = ("seconds", "cache_hit", "phase_seconds", "metrics")
 
 #: Limits fields excluded from cache keys because they never change
-#: what a run computes (parallel search/apply are byte-identical to
-#: serial; check/trace/metrics only observe).  They are scrubbed from
-#: fingerprints for the same reason.
-VOLATILE_LIMIT_FIELDS = ("search_workers", "apply_workers", "check",
-                         "trace", "metrics")
+#: what a run computes (check/trace/metrics only observe).  They are
+#: scrubbed from fingerprints for the same reason.
+VOLATILE_LIMIT_FIELDS = ("check", "trace", "metrics")
 
 
 def report_fingerprint(report: "OptimizationReport | Mapping") -> str:
@@ -129,8 +127,6 @@ class OptimizationRequest:
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
     scheduler: Optional[str] = None  # "simple" | "backoff"
-    search_workers: Optional[int] = None  # parallel e-matching fan-out
-    apply_workers: Optional[int] = None  # parallel apply-planning fan-out
     rule_profile: Optional[str] = None  # telemetry profile for pruning
     extractor: Optional[str] = None  # "greedy" | "dag"
     top_k: Optional[int] = None  # enumerate k cheapest distinct solutions

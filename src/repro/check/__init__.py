@@ -7,9 +7,9 @@ Two engines share one diagnostics framework:
   saturation-hygiene lints), run before any e-graph exists;
 * :mod:`repro.check.egraph` — an invariant verifier for the live
   slotted e-graph store (hashcons bijectivity, congruence, union-find
-  and parent-list consistency, snapshot agreement), run *between*
-  saturation steps when ``Limits(check=True)`` / ``REPRO_CHECK=1`` is
-  set.
+  and parent-list consistency, leaf index, analysis fixpoint), run
+  *between* saturation steps when ``Limits(check=True)`` /
+  ``REPRO_CHECK=1`` is set.
 
 Both report :class:`~repro.check.diagnostics.Diagnostic` values with
 stable ``RCxxx`` / ``EGxxx`` codes, rendered as text or JSON.  The CLI

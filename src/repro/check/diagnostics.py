@@ -83,8 +83,6 @@ CODES: Dict[str, str] = {
              "a parent slot is out of range / stale",
     "EG105": "parent-list incompleteness: an e-node is missing from "
              "some child class's parent list",
-    "EG106": "snapshot disagreement: the frozen columnar store does "
-             "not reproduce the live graph",
     "EG107": "leaf-class index drift: the var/const class index "
              "differs from a full rescan in class-id order",
     "EG108": "analysis not at fixpoint: a class's data does not "

@@ -19,9 +19,6 @@ reports every broken representation invariant as a
 * **EG105** — parent-list completeness: every e-node is registered in
   the parent list of each of its children's classes (the congruence
   worklist misses repairs otherwise);
-* **EG106** — snapshot agreement: a freshly frozen columnar
-  :class:`~repro.egraph.store.FlatStore` reproduces the live graph
-  (union-find, per-class node sets, smallest-term table);
 * **EG107** — leaf-class index: for every op in
   :data:`~repro.egraph.egraph.INDEXED_LEAF_OPS`,
   ``EGraph.leaf_classes`` equals a full rescan of the classes holding
@@ -34,8 +31,8 @@ reports every broken representation invariant as a
 
 The verifier never fixes anything; it runs between saturation steps
 when ``Limits(check=True)`` / ``REPRO_CHECK=1`` is set (see
-:class:`repro.saturation.runner.Runner`), so a parallel search/apply
-bug surfaces at the step that introduced it.  A dirty graph (pending
+:class:`repro.saturation.runner.Runner`), so a search/apply bug
+surfaces at the step that introduced it.  A dirty graph (pending
 congruence repairs) is rebuilt first — invariants are only defined for
 rebuilt graphs.
 """
@@ -91,12 +88,10 @@ class _Collector:
         return self.findings
 
 
-def verify(egraph: "EGraph", *, snapshot: bool = True) -> List[Diagnostic]:
+def verify(egraph: "EGraph") -> List[Diagnostic]:
     """Check every representation invariant of ``egraph``.
 
-    Returns an empty list on a healthy graph.  ``snapshot=False`` skips
-    the EG106 freeze-and-compare pass (it is the expensive one — a full
-    columnar copy)."""
+    Returns an empty list on a healthy graph."""
     out = _Collector()
     if egraph._pending:
         egraph.rebuild()
@@ -289,71 +284,14 @@ def verify(egraph: "EGraph", *, snapshot: bool = True) -> List[Diagnostic]:
                         f"absorb {made!r}, made from its e-node {node}",
                         location=f"class {class_id}",
                     )
-
-    # -- EG106: frozen snapshot agreement -------------------------------
-    if snapshot:
-        _verify_snapshot(egraph, out)
     return out.done()
 
 
-def _verify_snapshot(egraph: "EGraph", out: _Collector) -> None:
-    from ..egraph.store import FlatStore, SnapshotEGraph
-
-    find = egraph.find
-    snap = SnapshotEGraph(FlatStore.from_egraph(egraph))
-    live_ids = list(egraph._classes.keys())
-    if snap.class_ids() != live_ids:
-        out.add(
-            "EG106",
-            f"snapshot class ids differ from the live graph: "
-            f"{len(snap.class_ids())} vs {len(live_ids)} classes or "
-            "different order",
-        )
-        return
-    for index in range(len(snap._uf)):
-        if snap.find(index) != find(index):
-            out.add(
-                "EG106",
-                f"snapshot union-find disagrees at id {index}: "
-                f"{snap.find(index)} vs live {find(index)}",
-                location=f"class {index}",
-            )
-    live_sizes = egraph._size_table()
-    snap_sizes = snap._size_table()
-    for class_id in live_ids:
-        live_nodes = {
-            egraph.canonicalize(node)
-            for node in egraph._classes[class_id].nodes
-        }
-        snap_nodes = {
-            snap.canonicalize(node) for node in snap.nodes_of(class_id)
-        }
-        if live_nodes != snap_nodes:
-            out.add(
-                "EG106",
-                f"snapshot node set of class {class_id} differs from "
-                f"the live graph ({len(snap_nodes)} vs "
-                f"{len(live_nodes)} canonical forms)",
-                location=f"class {class_id}",
-            )
-        live_entry = live_sizes.get(class_id)
-        snap_entry = snap_sizes.get(class_id)
-        live_size = live_entry[0] if live_entry else None
-        snap_size = snap_entry[0] if snap_entry else None
-        if live_size != snap_size:
-            out.add(
-                "EG106",
-                f"snapshot smallest-term size of class {class_id} is "
-                f"{snap_size}, live graph says {live_size}",
-                location=f"class {class_id}",
-            )
-
-
 def verify_or_raise(
-    egraph: "EGraph", *, snapshot: bool = True, context: str = ""
+    egraph: "EGraph", *, context: str = ""
 ) -> None:
     """Run :func:`verify`; raise :class:`CheckFailure` on any ERROR."""
-    diagnostics = verify(egraph, snapshot=snapshot)
+    diagnostics = verify(egraph)
     if has_errors(diagnostics):
         prefix = f"{context}: " if context else ""
         raise CheckFailure(

@@ -38,6 +38,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -125,19 +126,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="write rule provenance (each run's "
                              "solution_rules and top-k candidates) to this "
                              "JSON file")
-    parser.add_argument("-w", "--search-workers", type=_positive_int,
-                        default=None, metavar="N",
-                        help="fan each step's rule searches across N "
-                             "fork-shared worker processes (default: "
-                             "REPRO_SEARCH_WORKERS or 1 = serial; solutions "
-                             "are byte-identical either way)")
-    parser.add_argument("--apply-workers", type=_positive_int,
-                        default=None, metavar="N",
-                        help="precompute pure rules' right-hand terms across "
-                             "N fork-shared worker processes before the "
-                             "deterministic serial commit (default: "
-                             "REPRO_APPLY_WORKERS or 1 = serial; solutions "
-                             "are byte-identical either way)")
     parser.add_argument("--prune-from-profile", type=Path, default=None,
                         metavar="PATH",
                         help="before each run, drop rules a previously "
@@ -157,11 +145,11 @@ def _parser() -> argparse.ArgumentParser:
                              "sweep is O(graph) per step)")
     parser.add_argument("--trace", type=Path, default=None, metavar="PATH",
                         help="record every run's spans (request/step/phase/"
-                             "rule, plus worker lanes under -w) and write "
+                             "rule, plus worker lanes under -j) and write "
                              "one merged Chrome-trace JSON here — open it "
                              "in Perfetto (default: REPRO_TRACE; off)")
     parser.add_argument("--metrics", type=Path, default=None, metavar="PATH",
-                        help="collect engine metrics (runner/store/pool/"
+                        help="collect engine metrics (runner/store/"
                              "extraction/cache families) during every run "
                              "and write the merged snapshot here in the "
                              "Prometheus text format (default: "
@@ -415,7 +403,7 @@ def _check_egraph_main(argv: List[str]) -> int:
         description="Run equality saturation with the e-graph invariant "
                     "verifier at every step boundary (hashcons, "
                     "congruence, union-find, slot store, parent lists, "
-                    "snapshot agreement).",
+                    "leaf index, analysis fixpoint).",
     )
     parser.add_argument("--kernel", nargs="+", default=["dot"],
                         choices=registry.names(),
@@ -460,6 +448,10 @@ def _check_egraph_main(argv: List[str]) -> int:
     elif findings:
         print(render_text(findings))
     return 1 if has_errors(findings) else 0
+
+
+def _raise_keyboard_interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
 
 def _serve_main(argv: List[str]) -> int:
@@ -514,6 +506,9 @@ def _serve_main(argv: List[str]) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     server.verbose = not args.quiet
+    # SIGTERM (``kill``, service managers) takes the Ctrl-C path, so
+    # ``server.stop()`` below shuts the warm pool's workers down too.
+    signal.signal(signal.SIGTERM, _raise_keyboard_interrupt)
     server.start()
     # The announce line is part of the contract: tests and the CI
     # smoke script bind --port 0 and parse the ephemeral port here.
@@ -723,10 +718,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     limits = Limits.from_env().override(
         args.steps, args.nodes, args.time_limit, args.scheduler,
-        args.search_workers,
         str(args.prune_from_profile) if args.prune_from_profile else None,
         args.extractor, args.top_k,
-        apply_workers=args.apply_workers,
         check=args.check or None,
         trace=str(args.trace) if args.trace else None,
         metrics=True if args.metrics else None,

@@ -6,9 +6,6 @@
   a specialized Python generator;
 * :mod:`repro.egraph.rewrite` — rules, including the De Bruijn-aware
   dynamic rules and the enumerating "intro" rules;
-* :mod:`repro.egraph.store` — flat slotted snapshot of an e-graph
-  (interned op/payload tables + numpy record arrays) published over
-  shared memory for search workers;
 * :mod:`repro.egraph.analysis` — per-e-class shape analysis.
 
 .. deprecated::

@@ -34,17 +34,11 @@ Every e-node is assigned a dense integer **slot** when it is first
 hash-consed.  ``_slot_form[slot]`` tracks the node's *current*
 canonical form (its live hashcons key) and ``_slot_class[slot]`` its
 class; per-class parent lists hold plain slot ints instead of
-``(ENode, class_id)`` pairs.  This buys two things:
-
-* **complete hashcons repair** — :meth:`rebuild` pops a parent's
-  *current* memo key (``_slot_form``), not the form recorded when the
-  parent was registered, so repair can no longer miss entries that
-  were re-keyed by an earlier merge and the O(memo) safety sweep the
-  previous object store needed every rebuild is gone;
-* **cheap columnar freezing** — :meth:`freeze` exports the graph as
-  numpy record arrays (:class:`repro.egraph.store.FlatStore`) that
-  parallel search workers attach to through shared memory instead of
-  receiving a pickled object graph.
+``(ENode, class_id)`` pairs.  This buys **complete hashcons repair**: :meth:`rebuild` pops a
+parent's *current* memo key (``_slot_form``), not the form recorded
+when the parent was registered, so repair can no longer miss entries
+that were re-keyed by an earlier merge and the O(memo) safety sweep
+the previous object store needed every rebuild is gone.
 
 :func:`repro.check.egraph.verify` sweeps every representation
 invariant of this layout on demand (``Limits(check=True)`` /
@@ -464,47 +458,6 @@ class EGraph:
                         parent.data = joined
                         next_work.append(parent_class)
             worklist = next_work
-
-    # ------------------------------------------------------------------
-    # Snapshotting (parallel search, pickling)
-    # ------------------------------------------------------------------
-
-    def freeze(self):
-        """Export the graph as a read-only columnar snapshot
-        (:class:`repro.egraph.store.FlatStore`).
-
-        The snapshot is what parallel search workers consume: the
-        parent publishes it once per step through POSIX shared memory
-        and workers *attach* to the arrays instead of unpickling an
-        object graph, so per-step snapshot cost stops scaling with the
-        number of live Python objects.
-        """
-        from .store import FlatStore
-
-        return FlatStore.from_egraph(self)
-
-    def prepare_search(self) -> None:
-        """Warm the derived search indexes (op index, smallest-term
-        table) in this process; a cheap no-op when the indexes are
-        already current."""
-        self.classes_by_op()
-        self._size_table()
-
-    def __getstate__(self) -> dict:
-        """Pickle without the derived per-generation caches.
-
-        The op index and smallest-term table are pure functions of the
-        graph and can be large; dropping them keeps snapshots small and
-        guarantees an unpickled graph never serves another process's
-        stale derived state."""
-        state = self.__dict__.copy()
-        state.pop("_size_cache", None)
-        state.pop("_op_index_cache", None)
-        state["_candidate_memo"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # Extraction of small representative terms (used by rule appliers)

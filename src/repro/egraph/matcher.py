@@ -32,12 +32,10 @@ matches.  E-nodes are assumed well formed (the arity and payload every
 term constructor gives its operator), which :meth:`EGraph.add_term`
 guarantees.
 
-Matching only reads the graph through ``find``, ``nodes_of``,
+Matching only reads the graph, through ``find``, ``nodes_of``,
 ``extract_candidates`` and ``unshifted_candidates`` (the
-:class:`MatchGraph` protocol), so the same programs run over a live
-:class:`~repro.egraph.egraph.EGraph` and a read-only
-:class:`~repro.egraph.store.SnapshotEGraph`.  The graph must not change
-while a program's generator is being consumed.
+:class:`MatchGraph` protocol).  The graph must not change while a
+program's generator is being consumed.
 
 Programs are cached by pattern *value* (patterns are frozen and
 hashable): every rule set built for the same targets shares them.

@@ -84,14 +84,6 @@ class Rule:
     # rules) provide a context fingerprint; when it changes, previously
     # applied matches are retried against the new context.
     context_key: Optional[Callable[[EGraph], object]] = None
-    # True when the applier is a pure function of the match alone —
-    # it never reads the e-graph (the ``egraph`` argument may be
-    # ``None``).  Pure appliers can run in parallel apply workers:
-    # their terms are precomputed off-process and committed by the
-    # parent in canonical order (see saturation.parallel.plan_apply).
-    # Computed by ``rewrite()`` for pattern rules; dynamic rules stay
-    # False unless they opt in.
-    snapshot_pure: bool = False
     # The RHS pattern, when the applier is a plain pattern applier.
     # Purely informational: the static analyzer (repro.check.rules)
     # reads it to verify binding, hygiene, and shape preservation.
@@ -117,17 +109,8 @@ class Rule:
 
     def apply(self, egraph: EGraph, match: Match) -> int:
         """Apply the rule to one match; returns number of unions made."""
-        return self.commit(egraph, match, self.applier(egraph, match))
-
-    def commit(
-        self, egraph: EGraph, match: Match, terms: Sequence[Term]
-    ) -> int:
-        """Union already-computed applier output with the matched
-        class; returns the number of unions made.  ``apply`` delegates
-        here, and the parallel apply path calls it directly with terms
-        a worker precomputed — the mutation order is identical."""
         unions = 0
-        for term in terms:
+        for term in self.applier(egraph, match):
             new_class = egraph.add_term(term)
             if not egraph.same(new_class, match.class_id):
                 egraph.merge(new_class, match.class_id)
@@ -142,46 +125,9 @@ def _pattern_applier(rhs: Pattern) -> ApplierFn:
     return apply
 
 
-def _collect_pvars(pattern: Pattern, out: List[PVar]) -> None:
-    if isinstance(pattern, PVar):
-        out.append(pattern)
-    elif isinstance(pattern, PNode):
-        for child in pattern.children:
-            _collect_pvars(child, out)
-
-
-def _pattern_rule_is_pure(lhs: Pattern, rhs: Pattern) -> bool:
-    """Whether instantiating ``rhs`` can ever read the e-graph.
-
-    ``instantiate`` touches the e-graph in exactly one place: a RHS
-    variable with a nonzero shift whose binding is a *class* binding
-    must extract a representative term to shift it.  A variable is
-    class-bound when some LHS occurrence matched it with ``shift == 0``
-    and ``as_term=False``; variables whose every LHS occurrence is
-    term-mode always carry terms, and shifting a term is pure.
-    """
-    lhs_vars: List[PVar] = []
-    rhs_vars: List[PVar] = []
-    _collect_pvars(lhs, lhs_vars)
-    _collect_pvars(rhs, rhs_vars)
-    class_bound = {
-        var.name for var in lhs_vars if var.shift == 0 and not var.as_term
-    }
-    return not any(
-        var.shift != 0 and var.name in class_bound for var in rhs_vars
-    )
-
-
 def rewrite(name: str, lhs: Pattern, rhs: Pattern, match_limit: int = 100_000) -> Rule:
     """Directed rule ``lhs → rhs``."""
-    return Rule(
-        name,
-        lhs,
-        _pattern_applier(rhs),
-        match_limit,
-        snapshot_pure=_pattern_rule_is_pure(lhs, rhs),
-        rhs=rhs,
-    )
+    return Rule(name, lhs, _pattern_applier(rhs), match_limit, rhs=rhs)
 
 
 def birewrite(
@@ -269,12 +215,7 @@ def beta_reduce_rule() -> Rule:
         assert isinstance(body, TermBinding) and isinstance(argument, TermBinding)
         return [subst(body.term, argument.term)]
 
-    rule = dynamic_rule("R-BetaReduce", lhs, apply)
-    # ``subst`` runs on the terms carried by the match bindings; the
-    # e-graph argument is never read, so the applier may run in a
-    # parallel apply worker.
-    rule.snapshot_pure = True
-    return rule
+    return dynamic_rule("R-BetaReduce", lhs, apply)
 
 
 def intro_lambda_rule(

@@ -6,12 +6,7 @@ integers handed out by :meth:`UnionFind.make_set`.
 The mutable structure deliberately stays a pair of Python lists:
 ``find`` is the hottest scalar operation in the whole engine, and
 element access on a list is faster than on a numpy array (every numpy
-subscript boxes a fresh ``np.int64``).  The *flat-store* snapshot path
-instead calls :meth:`UnionFind.snapshot_parents`, which exports the
-entire forest as one fully-compressed numpy ``int64`` array — the
-columnar union-find that :class:`repro.egraph.store.FlatStore` ships
-to search workers through shared memory, where ``find`` degenerates to
-a single vectorizable array lookup.
+subscript boxes a fresh ``np.int64``).
 """
 
 from __future__ import annotations
@@ -62,21 +57,3 @@ class UnionFind:
     def same(self, a: int, b: int) -> bool:
         """True when ``a`` and ``b`` are in the same set."""
         return self.find(a) == self.find(b)
-
-    def snapshot_parents(self):
-        """The whole forest as a fully-compressed ``int64`` numpy array:
-        ``snapshot[i] == self.find(i)`` for every id ever allocated.
-
-        Compression is vectorized: repeatedly replacing ``parent`` with
-        ``parent[parent]`` halves every path per pass, so the loop runs
-        ``O(log(longest path))`` times regardless of graph size.  The
-        live structure is untouched (no mutation, safe mid-rebuild).
-        """
-        import numpy as np
-
-        parents = np.asarray(self._parent, dtype=np.int64)
-        while True:
-            grand = parents[parents]
-            if (grand == parents).all():
-                return parents
-            parents = grand

@@ -1,8 +1,7 @@
 """Metrics registry: labeled counters, gauges, and histograms.
 
 Metrics are grouped into **families** — one per instrumented subsystem
-(``runner``, ``store``, ``pool``, ``extraction``, ``cache``,
-``process``) — and each metric's samples are keyed by a sorted label
+(``runner``, ``store``, ``extraction``, ``cache``, ``process``) — and each metric's samples are keyed by a sorted label
 set (rule, phase, kernel, worker, …).  A registry snapshot is a plain
 JSON-serializable dict that rides on
 ``OptimizationReport.metrics`` across process and cache boundaries,

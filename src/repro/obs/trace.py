@@ -12,8 +12,8 @@ Design constraints, in order:
   a disabled tracer's :meth:`Tracer.span` returns a measuring-but-
   discarded span (two ``perf_counter`` calls — exactly what the manual
   phase bookkeeping it replaced already paid), and the fine-grained
-  call sites (per-rule searches, per-chunk worker work) are guarded by
-  ``tracer.enabled`` so they allocate nothing at all.  The guard is
+  call sites (per-rule searches) are guarded by ``tracer.enabled`` so
+  they allocate nothing at all.  The guard is
   enforced by ``benchmarks/test_obs_overhead.py`` next to the perf
   gate.
 * **One clock discipline.**  Every span start/duration comes from
@@ -22,10 +22,9 @@ Design constraints, in order:
   directly comparable to the parent's.  ``PhaseTimings`` is now a
   consumer of the runner's phase spans rather than a parallel set of
   stopwatches.
-* **Cross-process merging.**  Workers (both the per-step search/apply
-  workers in :mod:`repro.saturation.parallel` and the per-run
-  ``optimize_many`` pool workers) record events locally, tagged with
-  their pid, and ship them back with their results;
+* **Cross-process merging.**  The per-run ``optimize_many`` pool
+  workers record events locally, tagged with their pid, and ship them
+  back with their results;
   :meth:`Tracer.add_remote` folds them into the parent trace, and the
   export lays each pid out on its own lane.  This is what makes the
   difference between real parallelism and time-slicing *visible*: on a
@@ -61,7 +60,6 @@ CAT_STEP = "step"
 CAT_PHASE = "phase"
 CAT_RULE = "rule"
 CAT_EXTRACT = "extract"
-CAT_POOL = "pool"
 CAT_SERVER = "server"
 
 

@@ -96,8 +96,6 @@ def optimize_term(
     node_limit: int = DEFAULT_LIMITS["node_limit"],
     time_limit: float = DEFAULT_LIMITS["time_limit"],
     scheduler: str = DEFAULT_LIMITS["scheduler"],
-    search_workers: int = DEFAULT_LIMITS["search_workers"],
-    apply_workers: int = DEFAULT_LIMITS["apply_workers"],
     rule_profile: Optional[str] = DEFAULT_LIMITS["rule_profile"],
     extractor: str = DEFAULT_LIMITS["extractor"],
     top_k: int = DEFAULT_LIMITS["top_k"],
@@ -109,23 +107,19 @@ def optimize_term(
 ) -> OptimizationResult:
     """Optimize a bare IR term for ``target``.
 
-    ``search_workers > 1`` fans each step's rule searches across a
-    fork-shared process pool attached to shared-memory e-graph
-    snapshots, and ``apply_workers > 1`` precomputes pure rules' result
-    terms on the same pool (byte-identical solutions either way, see
-    :mod:`repro.saturation.parallel`); ``rule_profile`` prunes rules a
-    recorded telemetry profile says are wasteful for this kernel
-    (:mod:`repro.saturation.pruning`); ``extractor`` selects the
-    per-step extraction strategy and ``top_k`` additionally enumerates
-    the k cheapest distinct solutions at the root after the final step
-    (:mod:`repro.extraction`); ``check`` runs the e-graph invariant
-    verifier after every step and aborts on the first violation
-    (:mod:`repro.check.egraph`); ``trace`` records nested spans — a
-    path writes a Chrome-trace JSON when the run ends, a
-    :class:`~repro.obs.trace.Tracer` records into a caller-owned trace
-    (the session's cross-request trace) — and ``metrics`` populates a
-    registry whose snapshot lands on ``OptimizationResult.metrics``
-    (:mod:`repro.obs`).  Neither changes what the run computes.
+    ``rule_profile`` prunes rules a recorded telemetry profile says are
+    wasteful for this kernel (:mod:`repro.saturation.pruning`);
+    ``extractor`` selects the per-step extraction strategy and
+    ``top_k`` additionally enumerates the k cheapest distinct solutions
+    at the root after the final step (:mod:`repro.extraction`);
+    ``check`` runs the e-graph invariant verifier after every step and
+    aborts on the first violation (:mod:`repro.check.egraph`);
+    ``trace`` records nested spans — a path writes a Chrome-trace JSON
+    when the run ends, a :class:`~repro.obs.trace.Tracer` records into
+    a caller-owned trace (the session's cross-request trace) — and
+    ``metrics`` populates a registry whose snapshot lands on
+    ``OptimizationResult.metrics`` (:mod:`repro.obs`).  Neither changes
+    what the run computes.
     """
     tracer = resolve_tracer(trace)
     registry = MetricsRegistry() if metrics else NULL_METRICS
@@ -148,8 +142,6 @@ def optimize_term(
         node_limit=node_limit,
         time_limit=time_limit,
         scheduler=scheduler,
-        search_workers=search_workers,
-        apply_workers=apply_workers,
         extractor=extractor,
         check=check,
         tracer=tracer,
@@ -202,8 +194,6 @@ def optimize(
     node_limit: int = DEFAULT_LIMITS["node_limit"],
     time_limit: float = DEFAULT_LIMITS["time_limit"],
     scheduler: str = DEFAULT_LIMITS["scheduler"],
-    search_workers: int = DEFAULT_LIMITS["search_workers"],
-    apply_workers: int = DEFAULT_LIMITS["apply_workers"],
     rule_profile: Optional[str] = DEFAULT_LIMITS["rule_profile"],
     extractor: str = DEFAULT_LIMITS["extractor"],
     top_k: int = DEFAULT_LIMITS["top_k"],
@@ -221,8 +211,6 @@ def optimize(
         node_limit=node_limit,
         time_limit=time_limit,
         scheduler=scheduler,
-        search_workers=search_workers,
-        apply_workers=apply_workers,
         rule_profile=rule_profile,
         extractor=extractor,
         top_k=top_k,

@@ -9,16 +9,10 @@ Everything that drives an equality-saturation run lives here:
   ``Limits(scheduler=...)`` / ``REPRO_SCHEDULER`` / ``--scheduler``;
 * :mod:`repro.saturation.ematch` — incremental e-matching over the
   e-graph's dirty-class log (``EGraph.pop_dirty``), with full-scan
-  fallbacks (disable wholesale with ``REPRO_INCREMENTAL=0``);
+  fallbacks (``Runner(incremental=False)`` scans fully every step);
 * :mod:`repro.saturation.telemetry` — per-rule ``RuleStats`` and
   per-step ``PhaseTimings``, surfaced in Session JSON reports and the
   CLI's ``--rule-profile`` dump;
-* :mod:`repro.saturation.parallel` — fork-pool fan-out of each step's
-  rule searches over shared-memory e-graph snapshots
-  (``Limits(search_workers=N)`` / ``REPRO_SEARCH_WORKERS`` / ``-w``)
-  and of pure rules' apply planning (``Limits(apply_workers=N)`` /
-  ``REPRO_APPLY_WORKERS`` / ``--apply-workers``), byte-identical to
-  serial by construction;
 * :mod:`repro.saturation.pruning` — telemetry-driven rule pruning from
   a recorded ``--rule-profile`` JSON (``Limits(rule_profile=...)`` /
   ``REPRO_RULE_PROFILE`` / ``--prune-from-profile``), provenance-aware
@@ -31,7 +25,6 @@ release.
 """
 
 from .ematch import IncrementalMatcher, parent_closure, search_rule
-from .parallel import ParallelSearch, fork_available, resolve_workers
 from .pruning import (
     PruningPolicy,
     ProfileError,
@@ -69,7 +62,6 @@ __all__ = [
     "RuleScheduler", "SimpleScheduler", "BackoffScheduler",
     "SCHEDULER_NAMES", "make_scheduler",
     "IncrementalMatcher", "parent_closure", "search_rule",
-    "ParallelSearch", "fork_available", "resolve_workers",
     "RuleProfile", "PruningPolicy", "ProfileError", "UnknownRuleWarning",
     "kernel_class", "prune_rules",
     "RuleStats", "PhaseTimings",

@@ -35,7 +35,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..ir.terms import Term, collect_calls
 from ..egraph.egraph import EGraph
@@ -43,9 +43,8 @@ from ..extraction import CostModel, contributing_events, make_extractor
 from ..egraph.pattern import ClassBinding, TermBinding
 from ..egraph.rewrite import Match, Rule
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from ..obs.trace import CAT_EXTRACT, CAT_PHASE, CAT_STEP, NULL_TRACER, Tracer
-from .ematch import IncrementalMatcher
-from .parallel import ParallelSearch, SearchTask, resolve_workers
+from ..obs.trace import CAT_EXTRACT, CAT_PHASE, CAT_RULE, CAT_STEP, NULL_TRACER, Tracer
+from .ematch import IncrementalMatcher, search_rule
 from .schedulers import RuleScheduler, make_scheduler
 from .telemetry import PhaseTimings, RuleStats
 
@@ -167,10 +166,10 @@ class _HeapFreeze:
     in the process ends, so frozen objects do not outlive the runs
     that needed the freeze.  The count of active runs is shared by
     concurrent runs (serve queue threads), hence the lock.  A child
-    forked mid-run (pool workers) starts with no active run but keeps
-    the inherited heap frozen: unfreezing it would have the child's
-    next full collection touch, and so copy, every inherited page.
-    The first run to end in the child unfreezes it.
+    forked mid-run (a run-level pool worker) starts with no active run
+    but keeps the inherited heap frozen: unfreezing it would have the
+    child's next full collection touch, and so copy, every inherited
+    page.  The first run to end in the child unfreezes it.
     """
 
     def __init__(self) -> None:
@@ -259,15 +258,6 @@ class RunResult:
     rule_stats: Dict[str, RuleStats] = field(default_factory=dict)
     #: Name of the scheduler that drove the run.
     scheduler: str = "simple"
-    #: Search-worker processes the run was configured with (1 = serial).
-    search_workers: int = 1
-    #: Steps whose search phase actually executed on the process pool
-    #: (0 under serial search or after a broken-pool fallback).
-    parallel_steps: int = 0
-    #: Apply-worker processes the run was configured with (1 = serial).
-    apply_workers: int = 1
-    #: Steps whose apply phase consumed a worker-computed term plan.
-    parallel_apply_steps: int = 0
     #: Name of the extractor that produced the per-step solutions.
     extractor: str = "greedy"
 
@@ -310,11 +300,6 @@ def library_calls_of(term: Optional[Term]) -> Dict[str, int]:
     }
 
 
-def _incremental_default() -> bool:
-    """Incremental e-matching is on unless ``REPRO_INCREMENTAL=0``."""
-    return os.environ.get("REPRO_INCREMENTAL", "1").strip() != "0"
-
-
 class Runner:
     """Drives equality saturation over an :class:`EGraph`."""
 
@@ -327,9 +312,7 @@ class Runner:
         node_limit: int = 50_000,
         time_limit: float = 300.0,
         scheduler: Union[str, RuleScheduler, None] = None,
-        incremental: Optional[bool] = None,
-        search_workers: int = 1,
-        apply_workers: int = 1,
+        incremental: bool = True,
         applied_cap: int = 500_000,
         extractor: Union[str, type, None] = None,
         check: bool = False,
@@ -345,16 +328,10 @@ class Runner:
         # Per-step extraction strategy; resolved eagerly so a typo'd
         # name fails at construction, not on the first record.
         self.extractor_cls = make_extractor(extractor)
-        self.incremental = (
-            _incremental_default() if incremental is None else incremental
-        )
-        # Rule searches within one step fan out across a fork-shared
-        # process pool (see repro.saturation.parallel); resolves to 1
-        # (serial) on platforms without fork.  Apply workers precompute
-        # pure appliers' terms on the same pool; the parent commits
-        # them in canonical order.
-        self.search_workers = resolve_workers(search_workers)
-        self.apply_workers = resolve_workers(apply_workers)
+        # ``incremental=False`` searches every rule over the whole graph
+        # each step: the full-scan reference the incremental matcher is
+        # tested against.
+        self.incremental = incremental
         # The applied-match cache is cleared when it outgrows this;
         # re-application is semantically idempotent, so the bound trades
         # a little rework for bounded memory on enormous runs.
@@ -395,10 +372,6 @@ class Runner:
             IncrementalMatcher(egraph, len(self.rules))
             if self.incremental else None
         )
-        searcher = ParallelSearch(
-            egraph, self.rules, self.search_workers, self.apply_workers,
-            tracer=self.tracer, metrics=self.metrics,
-        )
         contexts: List[object] = [None] * len(self.rules)
         records: List[StepRecord] = []
         # Union of every recorded solution's provenance events, keyed
@@ -416,14 +389,11 @@ class Runner:
         _HEAP_FREEZE.enter()
         try:
             stop_reason = self._run_steps(
-                egraph, scheduler, matcher, searcher, contexts, applied,
+                egraph, scheduler, matcher, contexts, applied,
                 stats, records, contributed, root_class, cost_model,
                 extract_each_step, deadline,
             )
         finally:
-            # Shut the pool down and unlink the published snapshot even
-            # when extraction or a rule applier raises.
-            searcher.close()
             _HEAP_FREEZE.leave()
         # Provenance feeds telemetry: how many of each rule's logged
         # events touched a class of any recorded per-step solution.
@@ -446,25 +416,12 @@ class Runner:
             m.set("store", "slot_occupancy",
                   egraph.num_nodes / slots if slots else 0.0,
                   help="live e-nodes per allocated slot")
-            m.set("pool", "search_workers", self.search_workers,
-                  help="configured search-worker processes")
-            m.set("pool", "apply_workers", self.apply_workers,
-                  help="configured apply-worker processes")
-            m.set("pool", "parallel_steps", searcher.parallel_steps,
-                  help="steps whose search phase ran on the pool")
-            m.set("pool", "parallel_apply_steps",
-                  searcher.parallel_apply_steps,
-                  help="steps whose apply phase consumed a worker plan")
         return RunResult(
             records,
             stop_reason,
             self.egraph.find(root_class),
             rule_stats={s.name: s for s in stats},
             scheduler=scheduler.name,
-            search_workers=self.search_workers,
-            parallel_steps=searcher.parallel_steps,
-            apply_workers=self.apply_workers,
-            parallel_apply_steps=searcher.parallel_apply_steps,
             extractor=self.extractor_cls.name,
         )
 
@@ -473,7 +430,6 @@ class Runner:
         egraph: EGraph,
         scheduler: RuleScheduler,
         matcher: Optional[IncrementalMatcher],
-        searcher: ParallelSearch,
         contexts: List[object],
         applied: AppliedSet,
         stats: List["RuleStats"],
@@ -501,7 +457,7 @@ class Runner:
                 if matcher is not None:
                     matcher.begin_step()
                 matches, restricted, timed_out = self._search_step(
-                    step, scheduler, matcher, searcher, contexts, applied,
+                    step, scheduler, matcher, contexts, applied,
                     stats, deadline, phases,
                 )
                 if (
@@ -513,7 +469,7 @@ class Runner:
                     # so step counts match the naive engine's.
                     matcher.force_full_all()
                     matches, _, timed_out = self._search_step(
-                        step, scheduler, matcher, searcher, contexts, applied,
+                        step, scheduler, matcher, contexts, applied,
                         stats, deadline, phases, verify_pass=True,
                     )
                     restricted = False
@@ -523,16 +479,8 @@ class Runner:
             phases.search = search_span.duration
 
             # --- apply --------------------------------------------------
-            # Plan: workers precompute result terms for pure appliers
-            # (a no-op returning an empty plan under serial apply).
-            # Commit: the parent walks the admitted matches in
-            # canonical order, splicing in planned terms where present
-            # and running impure appliers inline — mutations happen in
-            # exactly the serial order either way.
             apply_span = tracer.span("apply", cat=CAT_PHASE)
             apply_span.__enter__()
-            planned, plan_cpu = searcher.plan_apply(matches, deadline)
-            commit_start = time.perf_counter()
             unions = 0
             for index, (rule_stats, rule, match) in enumerate(matches):
                 if (
@@ -544,23 +492,15 @@ class Runner:
                 # Tag mutations with the applying rule so the e-graph's
                 # union-origin log can attribute them (provenance).
                 egraph.origin_tag = rule_stats.name
-                terms = planned.get(index)
-                if terms is None:
-                    made = rule.apply(egraph, match)
-                else:
-                    made = rule.commit(egraph, match, terms)
+                made = rule.apply(egraph, match)
                 rule_stats.matches_applied += 1
                 rule_stats.unions += made
                 unions += made
                 if egraph.num_nodes > self.node_limit:
                     break
             egraph.origin_tag = None
-            commit_wall = time.perf_counter() - commit_start
             apply_span.done()
             phases.apply = apply_span.duration
-            # CPU actually spent applying: worker planning seconds plus
-            # the parent's commit wall (== apply wall when serial).
-            phases.apply_cpu = plan_cpu + commit_wall
 
             # --- rebuild ------------------------------------------------
             # Sub-phase spans: congruence repair and analysis propagation
@@ -656,7 +596,6 @@ class Runner:
         step: int,
         scheduler: RuleScheduler,
         matcher: Optional[IncrementalMatcher],
-        searcher: ParallelSearch,
         contexts: List[object],
         applied: AppliedSet,
         stats: List[RuleStats],
@@ -666,14 +605,11 @@ class Runner:
     ) -> Tuple[List[Tuple[RuleStats, Rule, Match]], bool, bool]:
         """Search every schedulable rule once.
 
-        The step is structured as *plan → execute → commit* so the
-        execute stage can fan out across worker processes: planning
-        makes every scheduling/restriction decision in canonical rule
-        order, execution runs the (independent, read-only) searches
-        serially or on the pool, and the commit stage folds results
-        back in canonical rule order — dedup, match admission, and
-        telemetry are therefore identical whichever executor ran, which
-        is what makes parallel solutions byte-identical to serial ones.
+        The step runs *plan → execute → commit*, each stage in
+        canonical rule order: planning makes every scheduling and
+        restriction decision, execution runs the (read-only) searches,
+        and the commit stage folds their results in — telemetry, dedup
+        against applied matches, and match admission.
 
         Returns ``(matches, any_restricted, timed_out)`` where
         ``matches`` carries ``(rule_stats, rule, match)`` triples whose
@@ -689,7 +625,7 @@ class Runner:
         timed_out = False
 
         # --- plan: scheduling + restriction decisions, in rule order --
-        tasks: List[SearchTask] = []
+        tasks: List[Tuple[int, Optional[FrozenSet[int]]]] = []
         for rule_index, rule in enumerate(self.rules):
             if time.perf_counter() > deadline:
                 timed_out = True
@@ -720,14 +656,22 @@ class Runner:
             any_restricted |= restrict is not None
             tasks.append((rule_index, restrict))
 
-        # --- execute: independent read-only searches ------------------
-        outcomes = searcher.run_tasks(
-            tasks,
-            # Cost estimate for load balancing: the rule's cumulative
-            # search time so far (small floor spreads new rules evenly).
-            [max(stats[index].search_seconds, 1e-4) for index, _ in tasks],
-            deadline,
-        )
+        # --- execute: the read-only searches ----------------------------
+        trace = self.tracer.enabled
+        outcomes: List[Tuple[float, List[Match]]] = []
+        for rule_index, restrict in tasks:
+            rule = self.rules[rule_index]
+            started = time.perf_counter()
+            found = search_rule(egraph, rule, restrict, deadline)
+            seconds = time.perf_counter() - started
+            outcomes.append((seconds, found))
+            if trace:
+                # Rules are timed anyway; record the span after the fact
+                # instead of wrapping the hot loop.
+                self.tracer.add_complete(
+                    f"search:{rule.name}", CAT_RULE, started, seconds,
+                    matches=len(found),
+                )
         if tasks and time.perf_counter() > deadline:
             # Searches past the deadline abort early and return partial
             # (possibly empty) match lists; without this flag an
@@ -740,10 +684,9 @@ class Runner:
         # set is search-phase time outside every rule's search_seconds.
         dedup_span = self.tracer.span("search.dedup", cat=CAT_PHASE)
         dedup_span.__enter__()
-        for rule_index, restrict in tasks:
+        for (rule_index, restrict), (seconds, found) in zip(tasks, outcomes):
             rule = self.rules[rule_index]
             rule_stats = stats[rule_index]
-            seconds, found = outcomes[rule_index]
             rule_stats.search_seconds += seconds
             phases.search_cpu += seconds
             rule_stats.searches += 1

@@ -86,13 +86,10 @@ class PhaseTimings:
     """Wall-clock split of one saturation step (or a whole run).
 
     ``search`` is wall-clock time of the search phase; ``search_cpu``
-    is the *sum of per-rule search seconds*, which equals ``search``
-    under serial search but exceeds it when rule searches fan out
-    across worker processes (``Limits(search_workers=N)``) — the ratio
-    ``search_cpu / search`` is the effective search parallelism.
-    ``apply_cpu`` is the analogue for the apply phase: worker seconds
-    spent precomputing pure appliers' terms plus the parent's commit
-    wall; it equals ``apply`` under serial apply.
+    is the summed per-rule matching seconds.  ``search - search_cpu``
+    is therefore the share of the search phase spent outside every
+    rule's matcher: signature dedup, match admission and bookkeeping
+    (the ``search.dedup`` span).
     """
 
     search: float = 0.0
@@ -100,7 +97,6 @@ class PhaseTimings:
     rebuild: float = 0.0
     extract: float = 0.0
     search_cpu: float = 0.0
-    apply_cpu: float = 0.0
 
     @property
     def total(self) -> float:
@@ -113,13 +109,11 @@ class PhaseTimings:
             "rebuild": self.rebuild,
             "extract": self.extract,
             "search_cpu": self.search_cpu,
-            "apply_cpu": self.apply_cpu,
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PhaseTimings":
-        # Tolerate dicts written before a field existed (search_cpu was
-        # added with parallel e-matching).
+        # Tolerate dicts written before a field existed.
         return cls(**{k: float(v) for k, v in dict(data).items()})
 
     def add(self, other: "PhaseTimings") -> None:
@@ -128,7 +122,6 @@ class PhaseTimings:
         self.rebuild += other.rebuild
         self.extract += other.extract
         self.search_cpu += other.search_cpu
-        self.apply_cpu += other.apply_cpu
 
 
 def rule_stats_to_dict(stats: Mapping[str, RuleStats]) -> Dict[str, dict]:

@@ -321,9 +321,8 @@ class OptimizationServer:
         try:
             limits = self.session.resolve_limits(
                 request.step_limit, request.node_limit, request.time_limit,
-                request.scheduler, request.search_workers,
-                request.rule_profile, request.extractor, request.top_k,
-                request.apply_workers, check=request.check,
+                request.scheduler, request.rule_profile, request.extractor,
+                request.top_k, check=request.check,
                 trace=request.trace, metrics=request.metrics,
             )
         except ValueError as exc:

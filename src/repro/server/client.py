@@ -42,8 +42,7 @@ RequestLike = Union[OptimizationRequest, Tuple[str, str], dict]
 #: Limit fields embedded explicitly when ``limits`` is given: every
 #: knob that (or whose default) participates in what the run computes.
 _EMBED_FIELDS = ("step_limit", "node_limit", "time_limit", "scheduler",
-                 "search_workers", "apply_workers", "extractor", "top_k",
-                 "check")
+                 "extractor", "top_k", "check")
 
 
 class RemoteError(RuntimeError):

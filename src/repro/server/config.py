@@ -68,8 +68,8 @@ __all__ = ["ConfigError", "TenantConfig", "ObservabilityConfig",
 ANONYMOUS_TENANT = "anonymous"
 
 _LIMIT_KEYS = ("step_limit", "node_limit", "time_limit", "scheduler",
-               "search_workers", "rule_profile", "extractor", "top_k",
-               "apply_workers", "check", "trace", "metrics")
+               "rule_profile", "extractor", "top_k", "check", "trace",
+               "metrics")
 
 #: Every serve.toml section and its allowed keys — the single source
 #: the strict validation below *and* the ``tools/check_docs.py`` audit

@@ -41,12 +41,8 @@ class TestEnvResolution:
     def test_explicit_mapping(self):
         assert Limits.from_env({"REPRO_STEP_LIMIT": "2"}).step_limit == 2
 
-    def test_parallel_and_pruning_knobs(self):
-        limits = Limits.from_env({
-            "REPRO_SEARCH_WORKERS": "4",
-            "REPRO_RULE_PROFILE": "/tmp/p.json",
-        })
-        assert limits.search_workers == 4
+    def test_pruning_knob(self):
+        limits = Limits.from_env({"REPRO_RULE_PROFILE": "/tmp/p.json"})
         assert limits.rule_profile == "/tmp/p.json"
         # Empty string means unset, not "profile at path ''".
         assert Limits.from_env({"REPRO_RULE_PROFILE": ""}).rule_profile is None

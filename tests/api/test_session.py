@@ -182,7 +182,7 @@ class TestOptimizeMany:
         assert [r.kernel for r in reports] == [k for k, _ in PAIRS]
 
     def test_persistent_pool_survives_batches(self):
-        from repro.saturation.parallel import fork_available
+        from repro.api.session import fork_available
 
         if not fork_available():
             pytest.skip("fork start method unavailable")

@@ -67,7 +67,7 @@ class TestSeededCorruption:
             cid for cid in ids if not eg.same(cid, victim)
         )
         eg._memo[node] = other
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG101" in _codes(findings)
 
     def test_eg102_congruence_split(self):
@@ -82,14 +82,14 @@ class TestSeededCorruption:
             if not eg.same(cid, donor_id)
         )
         other.nodes[node] = None
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG102" in _codes(findings)
 
     def test_eg103_class_record_mismatch(self):
         eg = _healthy_egraph()
         cid = eg.class_ids()[0]
         eg._classes[cid].class_id = cid + 999_999
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG103" in _codes(findings)
 
     def test_eg104_slot_owner_corrupted(self):
@@ -98,13 +98,13 @@ class TestSeededCorruption:
             s for ec in eg._classes.values() for s in ec.parents
         )
         eg._slot_class[slot] = 999_999_999
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG104" in _codes(findings)
 
     def test_eg104_slot_columns_diverge(self):
         eg = _healthy_egraph()
         eg._slot_class.append(0)
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG104" in _codes(findings)
 
     def test_eg105_parent_entry_dropped(self):
@@ -115,36 +115,14 @@ class TestSeededCorruption:
             ec for ec in eg._classes.values() if ec.parents
         )
         eclass.parents = []
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG105" in _codes(findings)
-
-    def test_eg106_snapshot_disagreement(self, monkeypatch):
-        # A snapshot is derived from the live graph, so live-side
-        # corruption cannot desynchronize it; EG106 exists to catch
-        # bugs in the freeze/attach layer itself.  Seed one: corrupt
-        # the frozen union-find column on its way out of from_egraph.
-        from repro.egraph import store as store_mod
-
-        eg = _healthy_egraph()
-        roots = eg.class_ids()
-        original = store_mod.FlatStore.from_egraph.__func__
-
-        def corrupted(cls, egraph):
-            flat = original(cls, egraph)
-            flat.uf[roots[0]] = roots[1]
-            return flat
-
-        monkeypatch.setattr(
-            store_mod.FlatStore, "from_egraph", classmethod(corrupted)
-        )
-        findings = verify(eg, snapshot=True)
-        assert "EG106" in _codes(findings)
 
     def test_eg107_leaf_index_drift(self):
         eg = _healthy_egraph()
         var_class = eg.leaf_classes("var")[0]
         eg._leaf_classes["var"].discard(var_class)
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG107" in _codes(findings)
 
     def test_eg107_stale_leaf_index_entry(self):
@@ -154,9 +132,9 @@ class TestSeededCorruption:
         two = eg.add_term(parse("2"))
         eg.merge(one, two)
         eg.rebuild()
-        assert verify(eg, snapshot=False) == []
+        assert verify(eg) == []
         eg._leaf_classes["const"].update({one, two})
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert "EG107" in _codes(findings)
 
     def test_eg108_class_data_corrupted(self):
@@ -165,13 +143,13 @@ class TestSeededCorruption:
         from repro.ir.shapes import UNKNOWN, Unknown
 
         eg = _healthy_egraph()
-        assert verify(eg, snapshot=False) == []
+        assert verify(eg) == []
         victim = next(
             ec for ec in eg._classes.values()
             if not isinstance(ec.data, Unknown)
         )
         victim.data = UNKNOWN
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         assert _codes(findings) == {"EG108"}
         assert any(
             f.location == f"class {victim.class_id}" for f in findings
@@ -181,7 +159,7 @@ class TestSeededCorruption:
         eg = EGraph()
         eg.add_term(parse("x + 1"))
         next(iter(eg._classes.values())).data = "corrupt"
-        assert verify(eg, snapshot=False) == []
+        assert verify(eg) == []
 
     def test_all_corruption_findings_are_errors(self):
         eg = _healthy_egraph()
@@ -189,7 +167,7 @@ class TestSeededCorruption:
             s for ec in eg._classes.values() for s in ec.parents
         )
         eg._slot_class[slot] = 999_999_999
-        for finding in verify(eg, snapshot=False):
+        for finding in verify(eg):
             if finding.code != "EG104":
                 continue
             assert finding.severity is Severity.ERROR
@@ -200,7 +178,7 @@ class TestSeededCorruption:
         eg = _healthy_egraph()
         for cid in eg.class_ids():
             eg._classes[cid].class_id = cid + 999_999
-        findings = verify(eg, snapshot=False)
+        findings = verify(eg)
         errors = [f for f in findings if f.code == "EG103"
                   and f.severity is Severity.ERROR]
         notes = [f for f in findings if f.code == "EG103"
@@ -213,7 +191,7 @@ class TestSeededCorruption:
         cid = eg.class_ids()[0]
         eg._classes[cid].class_id = cid + 999_999
         with pytest.raises(CheckFailure) as excinfo:
-            verify_or_raise(eg, snapshot=False, context="after step 2")
+            verify_or_raise(eg, context="after step 2")
         assert "after step 2" in str(excinfo.value)
         assert any(d.code == "EG103" for d in excinfo.value.diagnostics)
 

@@ -177,7 +177,7 @@ class TestDiagnosticsFramework:
         for code in ("RC101", "RC102", "RC103", "RC104", "RC201",
                      "RC202", "RC203", "RC204", "RC205", "RC206",
                      "EG101", "EG102", "EG103", "EG104", "EG105",
-                     "EG106", "EG107", "EG108"):
+                     "EG107", "EG108"):
             assert code in CODES
 
     def test_unknown_code_rejected(self):

@@ -1,181 +1,16 @@
-"""Tests for the flat slotted store: FlatStore snapshots, the
-shared-memory round trip, SnapshotEGraph query parity, the repaired
-hashcons-miss, and randomized invariant checking via repro.check.
+"""Tests for the slotted e-graph store: the repaired hashcons-miss and
+randomized invariant checking via repro.check.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.egraph import EGraph
-from repro.egraph.analysis import ShapeAnalysis
 from repro.egraph.enode import ENode
 from repro.egraph.rewrite import rewrite
-from repro.egraph.store import FlatStore, SnapshotEGraph
 from repro.ir import parse
-from repro.ir.printer import pretty
-from repro.kernels import registry
 from repro.rules.dsl import padd, pconst, pmul, pv
 from repro.saturation import Runner
-from repro.saturation.ematch import search_rule
-from repro.targets import blas_target
-
-
-def _saturated_egraph():
-    """A small saturated graph with merges, payload variety, and a
-    populated smallest-term table."""
-    eg = EGraph()
-    root = eg.add_term(parse("(x + 0) * (y + 0)"))
-    rules = [
-        rewrite("add-zero", padd(pv("x"), pconst(0)), pv("x")),
-        rewrite("commute", pmul(pv("a"), pv("b")), pmul(pv("b"), pv("a"))),
-    ]
-    from repro.extraction import AstSizeCost
-
-    Runner(eg, rules, step_limit=4).run(root, cost_model=AstSizeCost())
-    return eg, root
-
-
-class TestFlatStoreSnapshot:
-    def test_snapshot_query_parity(self):
-        eg, root = _saturated_egraph()
-        snap = SnapshotEGraph(eg.freeze())
-        assert snap.num_classes == eg.num_classes
-        assert snap.class_ids() == eg.class_ids()
-        for class_id in eg.class_ids():
-            assert snap.find(class_id) == eg.find(class_id)
-            assert list(snap.nodes_of(class_id)) == list(eg.nodes_of(class_id))
-        assert snap.classes_by_op() == eg.classes_by_op()
-
-    def test_uf_array_is_fully_compressed(self):
-        eg, _root = _saturated_egraph()
-        store = eg.freeze()
-        for i in range(len(store.uf)):
-            assert int(store.uf[i]) == eg.find(i)
-
-    def test_children_stored_raw(self):
-        # Snapshot traversals must resolve children through the uf
-        # array exactly like the live graph resolves them through its
-        # union-find; stale ids are data, not noise.
-        eg = EGraph()
-        a = eg.add_term(parse("a"))
-        b_ = eg.add_term(parse("b"))
-        eg.add_term(parse("a + b"))
-        eg.merge(a, b_)
-        eg.rebuild()
-        store = eg.freeze()
-        raw_children = []
-        live_children = []
-        for eclass in eg.classes():
-            for node in eclass.nodes:
-                live_children.extend(node.children)
-        snap = SnapshotEGraph(store)
-        for class_id in snap.class_ids():
-            for node in snap.nodes_of(class_id):
-                raw_children.extend(node.children)
-        assert sorted(raw_children) == sorted(live_children)
-
-    def test_payload_interning_distinguishes_types(self):
-        # 0, 0.0 and False hash/compare equal in a dict, so a payload
-        # table interned by raw value would collapse them into one slot
-        # and hand every node the first-seen type back.
-        eg = EGraph()
-        for op, payload in (("const", 0), ("litf", 0.0), ("flag", False)):
-            eg.add_enode(ENode(op, payload, ()))
-        eg.rebuild()
-        snap = SnapshotEGraph(eg.freeze())
-        by_op = {
-            node.op: node.payload
-            for class_id in snap.class_ids()
-            for node in snap.nodes_of(class_id)
-        }
-        assert type(by_op["const"]) is int
-        assert type(by_op["litf"]) is float
-        assert type(by_op["flag"]) is bool
-
-    def test_extraction_parity(self):
-        eg, root = _saturated_egraph()
-        snap = SnapshotEGraph(eg.freeze())
-        assert pretty(snap.extract_smallest(root)) == pretty(
-            eg.extract_smallest(root)
-        )
-        for class_id in eg.class_ids():
-            assert [
-                pretty(t) for t in snap.extract_candidates(class_id, limit=3)
-            ] == [pretty(t) for t in eg.extract_candidates(class_id, limit=3)]
-
-    def test_search_parity_on_kernel(self):
-        kernel = registry.get("memset")
-        target = blas_target()
-        eg = EGraph(ShapeAnalysis(kernel.symbol_shapes))
-        eg.add_term(kernel.term)
-        eg.rebuild()
-        snap = SnapshotEGraph(eg.freeze())
-        for rule in target.rules:
-            assert search_rule(snap, rule, None, None) == search_rule(
-                eg, rule, None, None
-            ), rule.name
-
-    def test_empty_graph_freezes(self):
-        snap = SnapshotEGraph(EGraph().freeze())
-        assert snap.num_classes == 0
-        assert snap.class_ids() == []
-        assert snap.classes_by_op() == {}
-
-
-class TestSharedMemoryRoundTrip:
-    def test_publish_attach_round_trip(self):
-        eg, root = _saturated_egraph()
-        store = eg.freeze()
-        shm = store.publish()
-        try:
-            attached = FlatStore.attach(shm.name)
-            assert attached.ops == store.ops
-            assert attached.payloads == store.payloads
-            snap = SnapshotEGraph(attached)
-            assert snap.class_ids() == eg.class_ids()
-            assert pretty(snap.extract_smallest(root)) == pretty(
-                eg.extract_smallest(root)
-            )
-            snap.dispose()
-            attached.detach()
-        finally:
-            shm.unlink()
-            shm.close()
-
-    def test_attach_cost_is_header_sized(self):
-        # The worker-side protocol must not scale with graph size:
-        # attaching maps the segment and reads the pickled header, it
-        # never copies the arrays.
-        import numpy as np
-
-        eg, _root = _saturated_egraph()
-        store = eg.freeze()
-        shm = store.publish()
-        try:
-            attached = FlatStore.attach(shm.name)
-            # Zero-copy: the arrays are views on the mapped buffer.
-            assert all(
-                not getattr(attached, key).flags["OWNDATA"]
-                for key in ("uf", "children", "node_op")
-            )
-            assert isinstance(attached.uf, np.ndarray)
-            attached.detach()
-        finally:
-            shm.unlink()
-            shm.close()
-
-    def test_nbytes_reports_array_payload(self):
-        eg, _root = _saturated_egraph()
-        store = eg.freeze()
-        assert store.nbytes > 0
-        assert store.nbytes == sum(
-            getattr(store, key).nbytes
-            for key in (
-                "uf", "class_ids", "class_node_offsets", "node_op",
-                "node_payload", "child_offsets", "children", "size_val",
-                "size_witness",
-            )
-        )
 
 
 class TestHashconsRepair:
@@ -286,7 +121,7 @@ def _merge_programs(draw):
 def test_random_merge_schedules_keep_invariants(program):
     """Property: any node/merge schedule leaves a rebuilt graph that
     passes the full repro.check invariant sweep (hashcons, congruence,
-    union-find, slot store, parent lists, snapshot agreement)."""
+    union-find, slot store, parent lists, leaf index, analysis)."""
     from repro.check import verify
 
     n_leaves, inner, merges = program

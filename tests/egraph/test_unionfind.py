@@ -50,45 +50,6 @@ class TestUnionFind:
         assert len(uf) == 7
 
 
-class TestSnapshotParents:
-    def test_snapshot_is_fully_compressed(self):
-        uf = UnionFind()
-        ids = [uf.make_set() for _ in range(8)]
-        # Build a chain so some parents are transitively stale.
-        for a, b_ in zip(ids, ids[1:]):
-            uf.union(a, b_)
-        parents = uf.snapshot_parents()
-        assert len(parents) == len(uf)
-        for i in ids:
-            assert int(parents[i]) == uf.find(i)
-            # Fully compressed: the array IS its own fixpoint.
-            assert int(parents[int(parents[i])]) == int(parents[i])
-
-    def test_snapshot_does_not_mutate_live_structure(self):
-        uf = UnionFind()
-        ids = [uf.make_set() for _ in range(4)]
-        uf.union(ids[0], ids[1])
-        before = uf.find(ids[1])
-        uf.snapshot_parents()
-        assert uf.find(ids[1]) == before
-        uf.union(ids[2], ids[3])  # still usable afterwards
-        assert uf.same(ids[2], ids[3])
-
-    def test_empty_snapshot(self):
-        assert len(UnionFind().snapshot_parents()) == 0
-
-
-@given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=60))
-def test_snapshot_parents_agree_with_find(pairs):
-    uf = UnionFind()
-    for _ in range(20):
-        uf.make_set()
-    for a, b_ in pairs:
-        uf.union(a, b_)
-    parents = uf.snapshot_parents()
-    assert [int(p) for p in parents] == [uf.find(i) for i in range(20)]
-
-
 @given(st.lists(st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=60))
 def test_unionfind_matches_naive_partition(pairs):
     """Union-find agrees with a naive set-merging implementation."""

@@ -202,11 +202,3 @@ class TestIncrementalEquivalence:
         assert full.stop_reason == incr.stop_reason
         assert [s.enodes for s in full.steps] == [s.enodes for s in incr.steps]
         assert [s.eclasses for s in full.steps] == [s.eclasses for s in incr.steps]
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        eg = EGraph()
-        runner = Runner(eg, [])
-        assert runner.incremental is False
-        monkeypatch.delenv("REPRO_INCREMENTAL")
-        assert Runner(eg, []).incremental is True
