@@ -201,7 +201,12 @@ class Session:
         Subsequent ``optimize_many`` batches — including single-request
         batches, the ``repro serve`` job shape — submit to this pool
         instead of constructing a transient one, so worker processes
-        stay forked and hot across requests.  Idempotent; returns
+        stay forked and hot across requests.  Every worker exists when
+        this returns: a fork pool starts all its workers on the first
+        submit, so a no-op job is run here, before the caller starts
+        any thread of its own (``repro serve`` forks before its HTTP
+        threads) and before ``pool_warm`` reports the pool.
+        Idempotent; returns
         ``False`` (and stays in-process) on platforms without ``fork``,
         where a long-lived spawn pool could not see runtime-registered
         targets.  A pool broken mid-batch (OOM-killed worker) is
@@ -216,10 +221,12 @@ class Session:
 
             workers = max_workers if max_workers and max_workers > 0 \
                 else min(os.cpu_count() or 2, 8)
-            self._persistent_pool = ProcessPoolExecutor(
+            pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork"),
             )
+            pool.submit(int).result()
+            self._persistent_pool = pool
             return True
 
     @property

@@ -57,7 +57,8 @@ def report_fingerprint(report: "OptimizationReport | Mapping") -> str:
     the same request (the service-equivalence guarantee asserted by
     ``tests/server/`` and the CI smoke test).  Volatile fields —
     timings, cache provenance, observability snapshots, and the
-    per-rule ``search_seconds`` inside ``rule_stats`` — are scrubbed;
+    per-rule ``search_seconds`` and ``apply_seconds`` inside
+    ``rule_stats`` — are scrubbed;
     everything else participates byte-for-byte.
     """
     data = (report.to_dict() if isinstance(report, OptimizationReport)
@@ -71,7 +72,8 @@ def report_fingerprint(report: "OptimizationReport | Mapping") -> str:
     stats = data.get("rule_stats")
     if isinstance(stats, Mapping):
         data["rule_stats"] = {
-            rule: {k: v for k, v in entry.items() if k != "search_seconds"}
+            rule: {k: v for k, v in entry.items()
+                   if k not in ("search_seconds", "apply_seconds")}
             if isinstance(entry, Mapping) else entry
             for rule, entry in stats.items()
         }

@@ -12,6 +12,8 @@ Extras needed by LIAR:
 * ``add_term`` / ``extract_smallest`` to move between terms and
   classes — rule application in LIAR extracts terms to run the De
   Bruijn ``shift``/``subst`` operators on them (§IV-B3, approach 2);
+  ``add_term`` memoizes subterm classes by term identity between
+  merges, so a term spliced into many right-hand sides is walked once;
 * :class:`ClassRef`, a pseudo-term that references an existing e-class
   so rule right-hand sides can mention matched classes without
   extracting them;
@@ -173,6 +175,13 @@ class EGraph:
         self.union_origins: List[TupleT[str, int, int]] = []
         # Bumped on every mutation; used for fixpoint detection.
         self.version = 0
+        # Bumped by every merge() that joins two classes; stamps the
+        # add_term memo, which is exact only while find() is stable.
+        self.merges = 0
+        # (merges stamp, {id(term): (term, class id)}); see add_term.
+        self._term_memo: Optional[
+            TupleT[int, Dict[int, TupleT[Term, int]]]
+        ] = None
         # Bumped only by rebuild(); the smallest-term table caches off
         # this so that rule appliers running inside one saturation step
         # share a single table instead of recomputing per mutation.
@@ -261,11 +270,7 @@ class EGraph:
         """Insert an e-node (children must be valid class ids); returns
         the id of its class, reusing an existing class when hash-consing
         finds the node already present."""
-        enode = self.canonicalize(enode)
-        existing = self._memo.get(enode)
-        if existing is not None:
-            return self._uf.find(existing)
-        return self._insert(enode)
+        return self.add_canonical(self.canonicalize(enode))
 
     def _insert(self, enode: ENode) -> int:
         """Create a class for ``enode``, which must be canonical and
@@ -293,21 +298,52 @@ class EGraph:
         self.version += 1
         return class_id
 
-    def add_term(self, term: Term) -> int:
-        """Insert a term bottom-up; returns the id of the root's class.
-
-        ``ClassRef`` leaves splice in existing classes.
-        """
-        if isinstance(term, ClassRef):
-            return self._uf.find(term.class_id)
-        op, payload, child_terms = term_to_parts(term)
-        # Every id add_term returns is a union-find root, and inserting
-        # never merges, so the node is canonical as built.
-        enode = ENode(op, payload, tuple([self.add_term(c) for c in child_terms]))
+    def add_canonical(self, enode: ENode) -> int:
+        """:meth:`add_enode` for an e-node whose children are already
+        union-find roots: one hashcons probe, or an insert."""
         existing = self._memo.get(enode)
         if existing is not None:
             return self._uf.find(existing)
         return self._insert(enode)
+
+    def add_term(self, term: Term) -> int:
+        """Insert a term bottom-up; returns the id of the root's class.
+
+        ``ClassRef`` leaves splice in existing classes.
+
+        Every subterm's class is memoized by the subterm's identity
+        (``id`` plus an ``is`` check; the memo holds the term, so its
+        id cannot be reused).  Inserting never changes an existing
+        lookup, and ``find`` is stable until the next merge, so the memo
+        is exact while :attr:`merges` keeps the value it was stamped
+        with: terms shared between calls (candidate representatives
+        spliced into many right-hand sides) cost one probe after their
+        first insertion.  :meth:`drop_term_memo` releases it.
+        """
+        memo = self._term_memo
+        if memo is None or memo[0] != self.merges:
+            memo = self._term_memo = (self.merges, {})
+        return self._add_term(term, memo[1])
+
+    def _add_term(self, term: Term, memo: Dict[int, TupleT[Term, int]]) -> int:
+        if isinstance(term, ClassRef):
+            return self._uf.find(term.class_id)
+        hit = memo.get(id(term))
+        if hit is not None and hit[0] is term:
+            return hit[1]
+        op, payload, child_terms = term_to_parts(term)
+        # Every id _add_term returns is a union-find root, and inserting
+        # never merges, so the node is canonical as built.
+        class_id = self.add_canonical(ENode(
+            op, payload, tuple([self._add_term(c, memo) for c in child_terms])
+        ))
+        memo[id(term)] = (term, class_id)
+        return class_id
+
+    def drop_term_memo(self) -> None:
+        """Release the :meth:`add_term` memo (the runner calls this when
+        an apply phase ends)."""
+        self._term_memo = None
 
     # ------------------------------------------------------------------
     # Merging and rebuilding
@@ -323,6 +359,7 @@ class EGraph:
         if self.origin_tag is not None:
             self.union_origins.append((self.origin_tag, root_a, root_b))
         self.version += 1
+        self.merges += 1
         new_root = self._uf.union(root_a, root_b)
         other = root_b if new_root == root_a else root_a
         winner = self._classes[new_root]

@@ -20,13 +20,15 @@ Matching lives in :mod:`repro.egraph.matcher`, which compiles each
 pattern into a specialized Python generator.  A match is a bindings
 dict mapping metavariable names to :class:`Binding` values and
 size-variable names to ints.  This module also instantiates patterns
-(a rule's right-hand side) under such bindings.
+(a rule's right-hand side) under such bindings, either into a term
+(:func:`instantiate`) or straight into an e-graph's class ids
+(:func:`add_instance`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple as TupleT, Union
+from typing import Dict, FrozenSet, Optional, Tuple as TupleT, Union
 
 from ..ir.debruijn import shift as shift_term
 from ..ir.terms import (
@@ -45,6 +47,7 @@ from ..ir.terms import (
     Var,
 )
 from .egraph import ClassRef, EGraph
+from .enode import ENode
 
 __all__ = [
     "Pattern",
@@ -57,6 +60,10 @@ __all__ = [
     "Bindings",
     "pattern_of_term",
     "instantiate",
+    "InstantiationError",
+    "RhsRequirements",
+    "rhs_requirements",
+    "add_instance",
 ]
 
 
@@ -208,3 +215,92 @@ def instantiate(egraph: EGraph, pattern: Pattern, bindings: Bindings) -> Term:
     from .enode import enode_to_term_shallow
 
     return enode_to_term_shallow(pattern.op, payload, children)
+
+
+#: What a right-hand side needs of its bindings: every variable name
+#: (metavariables and size variables), the names of its shifted
+#: metavariables, and the names of its size variables.
+RhsRequirements = TupleT[FrozenSet[str], TupleT[str, ...], TupleT[str, ...]]
+
+
+def rhs_requirements(pattern: Pattern) -> RhsRequirements:
+    """The :data:`RhsRequirements` of ``pattern`` (one walk, done once
+    per rule)."""
+    names, shifted, sizes = set(), set(), set()
+    stack = [pattern]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, PVar):
+            names.add(node.name)
+            if node.shift:
+                shifted.add(node.name)
+            continue
+        assert isinstance(node, PNode)
+        if isinstance(node.payload, SizeVar):
+            names.add(node.payload.name)
+            sizes.add(node.payload.name)
+        stack.extend(node.children)
+    return frozenset(names), tuple(shifted), tuple(sizes)
+
+
+def _instantiable(
+    egraph: EGraph, requirements: RhsRequirements, bindings: Bindings
+) -> bool:
+    """Would :func:`instantiate` succeed?  Checks only the leaves that
+    can fail: unbound names, shifted class variables with no
+    extractable term, and sizes that are not ints."""
+    names, shifted, sizes = requirements
+    if not bindings.keys() >= names:
+        return False
+    for name in shifted:
+        binding = bindings[name]
+        if (
+            isinstance(binding, ClassBinding)
+            and egraph.extract_smallest(binding.class_id) is None
+        ):
+            return False
+    return all(isinstance(bindings[name], int) for name in sizes)
+
+
+def add_instance(
+    egraph: EGraph,
+    pattern: Pattern,
+    bindings: Bindings,
+    requirements: RhsRequirements,
+) -> int:
+    """``egraph.add_term(instantiate(egraph, pattern, bindings))``
+    without building the term: the class of the instantiated pattern.
+
+    A class-bound unshifted variable becomes ``find`` of its class and
+    a :class:`PNode` one hashcons probe or insert over its children's
+    class ids; term-bound and shifted variables go through
+    :meth:`EGraph.add_term`.  The walk is post-order, left to right, like
+    ``add_term``'s, so it inserts the same e-nodes in the same order and
+    they get the same class ids.  ``requirements`` is
+    ``rhs_requirements(pattern)``: bindings that :func:`instantiate`
+    would reject raise the same :class:`InstantiationError` before
+    anything is inserted.
+    """
+    if not _instantiable(egraph, requirements, bindings):
+        instantiate(egraph, pattern, bindings)
+        raise AssertionError("instantiate accepted bindings add_instance rejected")
+    return _add_instance(egraph, pattern, bindings)
+
+
+def _add_instance(egraph: EGraph, pattern: Pattern, bindings: Bindings) -> int:
+    if isinstance(pattern, PVar):
+        binding = bindings[pattern.name]
+        if pattern.shift == 0 and isinstance(binding, ClassBinding):
+            return egraph.find(binding.class_id)
+        return egraph.add_term(instantiate(egraph, pattern, bindings))
+    assert isinstance(pattern, PNode)
+    payload = pattern.payload
+    if isinstance(payload, SizeVar):
+        payload = bindings[payload.name]
+    # Child ids are union-find roots and inserting never merges, so the
+    # e-node is canonical as built.
+    return egraph.add_canonical(ENode(
+        pattern.op,
+        payload,
+        tuple([_add_instance(egraph, child, bindings) for child in pattern.children]),
+    ))

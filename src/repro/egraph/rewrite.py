@@ -4,9 +4,12 @@ A :class:`Rule` pairs a *searcher* (a pattern matched against every
 e-class) with an *applier* that produces terms to union with the
 matched class.  Three applier flavours cover everything in the paper:
 
-* **Pattern appliers** — the common case: instantiate a RHS pattern
+* **Pattern rules** — the common case: instantiate a RHS pattern
   under the match bindings (listing 2's elimination rules, all idiom
-  rules of listings 4–5, the scalar rules of listing 3).
+  rules of listings 4–5, the scalar rules of listing 3).  They have no
+  applier function: :meth:`Rule.apply` instantiates ``rule.rhs``
+  straight into class ids (:func:`~repro.egraph.pattern.add_instance`),
+  as egg's pattern appliers do, without building a term.
 * **Function appliers** — compute the result term in Python.  Used by
   ``R-BETAREDUCE``, whose RHS applies the expression-level ``subst``
   operator (§IV-B3, approach 2: operators run on terms extracted from
@@ -35,8 +38,10 @@ from .pattern import (
     PNode,
     Pattern,
     PVar,
+    RhsRequirements,
     TermBinding,
-    instantiate,
+    add_instance,
+    rhs_requirements,
 )
 
 __all__ = [
@@ -71,11 +76,13 @@ ApplierFn = Callable[[EGraph, Match], Sequence[Term]]
 
 @dataclass
 class Rule:
-    """A named rewrite rule."""
+    """A named rewrite rule: a searcher, and either a right-hand-side
+    pattern (``rhs``) or an applier function computing the terms to
+    union with the matched class."""
 
     name: str
     searcher: Pattern
-    applier: ApplierFn
+    applier: Optional[ApplierFn]
     # Matches per iteration are capped to keep a single runaway rule
     # from monopolizing a saturation step.
     match_limit: int = 100_000
@@ -84,17 +91,25 @@ class Rule:
     # rules) provide a context fingerprint; when it changes, previously
     # applied matches are retried against the new context.
     context_key: Optional[Callable[[EGraph], object]] = None
-    # The RHS pattern, when the applier is a plain pattern applier.
-    # Purely informational: the static analyzer (repro.check.rules)
-    # reads it to verify binding, hygiene, and shape preservation.
-    # Dynamic/function appliers leave it ``None``.
+    # The RHS pattern of a pattern rule (``applier`` is then ``None``):
+    # apply instantiates it into the e-graph, and the static analyzer
+    # (repro.check.rules) reads it to verify binding, hygiene, and shape
+    # preservation.  Dynamic/function appliers leave it ``None``.
     rhs: Optional[Pattern] = None
+    # rhs_requirements(rhs), computed once for apply's binding checks.
+    _requirements: Optional[RhsRequirements] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # Compile the searcher up front.  Programs are cached by pattern
         # value, so the rule sets built per target (and per served
         # request) share one program per distinct pattern.
         compile_pattern(self.searcher)
+        if self.applier is None:
+            if self.rhs is None:
+                raise ValueError(f"rule {self.name!r} has neither rhs nor applier")
+            self._requirements = rhs_requirements(self.rhs)
 
     def search(self, egraph: EGraph) -> List[Match]:
         """All matches of the searcher in the current e-graph.
@@ -109,6 +124,14 @@ class Rule:
 
     def apply(self, egraph: EGraph, match: Match) -> int:
         """Apply the rule to one match; returns number of unions made."""
+        if self.applier is None:
+            new_class = add_instance(
+                egraph, self.rhs, match.bindings, self._requirements
+            )
+            if egraph.same(new_class, match.class_id):
+                return 0
+            egraph.merge(new_class, match.class_id)
+            return 1
         unions = 0
         for term in self.applier(egraph, match):
             new_class = egraph.add_term(term)
@@ -118,16 +141,9 @@ class Rule:
         return unions
 
 
-def _pattern_applier(rhs: Pattern) -> ApplierFn:
-    def apply(egraph: EGraph, match: Match) -> Sequence[Term]:
-        return [instantiate(egraph, rhs, match.bindings)]
-
-    return apply
-
-
 def rewrite(name: str, lhs: Pattern, rhs: Pattern, match_limit: int = 100_000) -> Rule:
     """Directed rule ``lhs → rhs``."""
-    return Rule(name, lhs, _pattern_applier(rhs), match_limit, rhs=rhs)
+    return Rule(name, lhs, None, match_limit, rhs=rhs)
 
 
 def birewrite(

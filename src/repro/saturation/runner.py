@@ -160,27 +160,49 @@ class _HeapFreeze:
     A saturation run allocates a large, long-lived and acyclic object
     graph (e-nodes, classes, terms), so every full collection rescans a
     heap that only grows, and frees nothing: refcounting already frees
-    what dies.  :meth:`freeze` (called after each step's rebuild) moves
-    every tracked object into the permanent generation, which
-    collections skip; :meth:`leave` unfreezes once the last run active
-    in the process ends, so frozen objects do not outlive the runs
+    what dies.  Two measures follow from that.  :meth:`enter` disables
+    automatic collection when the first active run in the process
+    starts, so no collection runs mid-phase (one search phase allocates
+    enough candidate terms, matches and signatures to trigger full
+    collections); :meth:`leave` restores the caller's prior
+    ``gc.isenabled()`` state when the last active run ends.  And
+    :meth:`freeze` (called after each step's rebuild) collects the
+    youngest generation once, then moves every tracked object into the
+    permanent generation, which collections skip, so no later
+    collection rescans the graph.  With the collector off, every object
+    allocated since the previous step boundary (or since the off period
+    began) is in the youngest generation, and nothing older is, so that
+    one cheap collection bounds how long cyclic garbage waits:
+    overlapping runs (serve queue threads, threaded library callers)
+    can keep the collector off indefinitely, and the garbage other
+    threads make meanwhile goes at the next step boundary of any run
+    rather than when the load stops.  :meth:`leave` unfreezes
+    once the last run ends, so frozen objects do not outlive the runs
     that needed the freeze.  The count of active runs is shared by
-    concurrent runs (serve queue threads), hence the lock.  A child
-    forked mid-run (a run-level pool worker) starts with no active run
-    but keeps the inherited heap frozen: unfreezing it would have the
-    child's next full collection touch, and so copy, every inherited
-    page.  The first run to end in the child unfreezes it.
+    concurrent runs, hence the lock.  A child forked mid-run (a run-level pool
+    worker) starts with no active run but keeps the inherited heap
+    frozen: unfreezing it would have the child's next full collection
+    touch, and so copy, every inherited page.  The first run to end in
+    the child unfreezes it.  The child does get the collector back as
+    the parent's caller had it: frozen objects are skipped anyway.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._active = 0
+        # gc.isenabled() when the first active run started.
+        self._was_enabled = True
 
     def enter(self) -> None:
         with self._lock:
+            if not self._active:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
             self._active += 1
 
     def freeze(self) -> None:
+        # Outside the lock: finalizers of collected objects run here.
+        gc.collect(0)
         with self._lock:
             if self._active:
                 gc.freeze()
@@ -190,11 +212,15 @@ class _HeapFreeze:
             self._active -= 1
             if not self._active:
                 gc.unfreeze()
+                if self._was_enabled:
+                    gc.enable()
 
     def after_fork_in_child(self) -> None:
         # The runs of the parent's threads do not continue in the child,
         # and the lock may have been held by one of them at the fork.
         self._lock = threading.Lock()
+        if self._active and self._was_enabled:
+            gc.enable()
         self._active = 0
 
 
@@ -482,23 +508,50 @@ class Runner:
             apply_span = tracer.span("apply", cat=CAT_PHASE)
             apply_span.__enter__()
             unions = 0
+            # Matches arrive grouped by rule: each rule's contiguous
+            # block is timed once and its node growth read off num_nodes
+            # (merges do not change it before the rebuild).
+            block: Optional[RuleStats] = None
+            block_started = 0.0
+            block_nodes = 0
             for index, (rule_stats, rule, match) in enumerate(matches):
+                if rule_stats is not block:
+                    now = time.perf_counter()
+                    if block is not None:
+                        block.apply_seconds += now - block_started
+                        block.nodes_added += egraph.num_nodes - block_nodes
+                    block, block_started, block_nodes = (
+                        rule_stats, now, egraph.num_nodes
+                    )
+                    # Tag mutations with the applying rule so the
+                    # e-graph's union-origin log can attribute them
+                    # (provenance).
+                    egraph.origin_tag = rule_stats.name
                 if (
                     index % _APPLY_DEADLINE_STRIDE == 0
                     and time.perf_counter() > deadline
                 ):
                     timed_out = True
                     break
-                # Tag mutations with the applying rule so the e-graph's
-                # union-origin log can attribute them (provenance).
-                egraph.origin_tag = rule_stats.name
+                version = egraph.version
                 made = rule.apply(egraph, match)
                 rule_stats.matches_applied += 1
-                rule_stats.unions += made
-                unions += made
-                if egraph.num_nodes > self.node_limit:
-                    break
+                if egraph.version != version:
+                    rule_stats.effective_applications += 1
+                    rule_stats.unions += made
+                    unions += made
+                    if egraph.num_nodes > self.node_limit:
+                        break
+            if block is not None:
+                block.apply_seconds += time.perf_counter() - block_started
+                block.nodes_added += egraph.num_nodes - block_nodes
             egraph.origin_tag = None
+            # Terms spliced in this phase are dead once it ends.
+            egraph.drop_term_memo()
+            # So are the matches: let refcounting free them before the
+            # step boundary's collection would have to scan them.
+            admitted = len(matches)
+            del matches
             apply_span.done()
             phases.apply = apply_span.duration
 
@@ -517,18 +570,19 @@ class Runner:
                     if len(applied) > self.applied_cap:
                         applied.clear()
             phases.rebuild = rebuild_span.duration
-            # The graph only grows: keep full collections off it.
+            # Collect what is not frozen yet, then keep collections off
+            # the graph, which only grows.
             _HEAP_FREEZE.freeze()
 
             # --- record (+ extract) ------------------------------------
             with tracer.span("extract", cat=CAT_EXTRACT) as extract_span:
                 record = self._record(
-                    step, 0.0, len(matches), unions, root_class, cost_model,
+                    step, 0.0, admitted, unions, root_class, cost_model,
                     extract_each_step, contributed,
                 )
             phases.extract = extract_span.duration
             step_span.set(
-                matches=len(matches), unions=unions, enodes=egraph.num_nodes,
+                matches=admitted, unions=unions, enodes=egraph.num_nodes,
             )
             step_span.done()
             record.seconds = step_span.duration
@@ -537,7 +591,7 @@ class Runner:
             if m.enabled:
                 m.inc("runner", "steps_total",
                       help="saturation steps executed")
-                m.inc("runner", "matches_total", len(matches),
+                m.inc("runner", "matches_total", admitted,
                       help="matches admitted for application")
                 m.inc("runner", "unions_total", unions,
                       help="unions performed by rule applications")

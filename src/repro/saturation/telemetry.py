@@ -41,6 +41,14 @@ class RuleStats:
     matches_applied: int = 0
     #: Unions those applications performed.
     unions: int = 0
+    #: Wall seconds applying those matches (each contiguous block of
+    #: the rule's matches in a step's apply list is timed once).
+    apply_seconds: float = 0.0
+    #: E-nodes those applications inserted.
+    nodes_added: int = 0
+    #: Applications that inserted an e-node or made a union; the rest
+    #: of ``matches_applied`` changed nothing.
+    effective_applications: int = 0
     #: Times the scheduler banned the rule (backoff only).
     bans: int = 0
     #: Steps skipped while banned.
@@ -60,6 +68,9 @@ class RuleStats:
             "matches_found": self.matches_found,
             "matches_applied": self.matches_applied,
             "unions": self.unions,
+            "apply_seconds": self.apply_seconds,
+            "nodes_added": self.nodes_added,
+            "effective_applications": self.effective_applications,
             "bans": self.bans,
             "banned_steps": self.banned_steps,
             "solution_unions": self.solution_unions,
@@ -76,6 +87,9 @@ class RuleStats:
         self.matches_found += other.matches_found
         self.matches_applied += other.matches_applied
         self.unions += other.unions
+        self.apply_seconds += other.apply_seconds
+        self.nodes_added += other.nodes_added
+        self.effective_applications += other.effective_applications
         self.bans += other.bans
         self.banned_steps += other.banned_steps
         self.solution_unions += other.solution_unions

@@ -355,6 +355,12 @@ class JobQueue:
             "server", "e2e_seconds", total_seconds,
             help="submission-to-completion latency", tenant=job.tenant,
         )
+        if trace_path is not None:
+            # Before request.completed: a reader that waits for the
+            # event must find the merged trace, not a half-written file.
+            self._write_request_trace(
+                job, queue_wait, run_seconds, trace_path,
+            )
         # Exactly one request.completed per accepted request — the
         # rejected path emits its own (with the 4xx code) in app.py.
         self.events.emit(
@@ -376,10 +382,6 @@ class JobQueue:
                 run_seconds=round(run_seconds, 6),
                 total_seconds=round(total_seconds, 6),
                 trace_path=trace_path, finished=job.finished,
-            )
-        if trace_path is not None:
-            self._write_request_trace(
-                job, queue_wait, run_seconds, trace_path,
             )
 
     def _write_request_trace(self, job: Job, queue_wait: float,

@@ -202,6 +202,25 @@ class TestOptimizeMany:
             session.close_pool()
         assert not session.pool_warm
 
+    def test_start_pool_forks_every_worker_before_returning(self):
+        import multiprocessing
+
+        from repro.api.session import fork_available
+
+        if not fork_available():
+            pytest.skip("fork start method unavailable")
+        before = {p.pid for p in multiprocessing.active_children()}
+        session = Session(FAST)
+        assert session.start_pool(2)
+        try:
+            # No job submitted: the pool's workers must exist already.
+            workers = [p for p in multiprocessing.active_children()
+                       if p.pid not in before]
+            assert len(workers) == 2
+            assert all(p.is_alive() for p in workers)
+        finally:
+            session.close_pool()
+
     def test_worker_errors_become_error_reports(self):
         payload = {
             "target": "blas",

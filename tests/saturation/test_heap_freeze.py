@@ -1,11 +1,15 @@
 """The runner keeps the cyclic GC off live e-graphs, and gives the heap
 back when the last run ends.
 
-``Runner`` freezes the heap (``gc.freeze``) after each step's rebuild
-and unfreezes it when the last concurrently active run in the process
-finishes, however it finishes.  The freeze is only sound because a
-saturation run creates no reference cycles: frozen cyclic garbage
-would stay uncollected until the unfreeze.
+``Runner`` disables automatic collection while any run is active,
+freezes the heap (``gc.freeze``) after each step's rebuild, and
+unfreezes it and restores the caller's ``gc.isenabled()`` state when
+the last concurrently active run in the process finishes, however it
+finishes.  Each step boundary collects the youngest generation once
+before it freezes, so overlapping runs that keep the collector off do
+not hold back other threads' cyclic garbage.  The freeze is only sound
+because a saturation run creates no reference cycles: frozen cyclic
+garbage would stay uncollected until the unfreeze.
 """
 
 import gc
@@ -13,6 +17,7 @@ import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -47,8 +52,80 @@ def _freeze_counts(runner):
 @pytest.fixture(autouse=True)
 def _thawed():
     assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
     yield
     gc.unfreeze()
+    gc.enable()
+
+
+def _allocating_rule(keep):
+    """A rule whose applier allocates far past the gen-0 threshold."""
+
+    def allocate(egraph, match):
+        keep.extend([] for _ in range(5 * gc.get_threshold()[0]))
+        return []
+
+    return dynamic_rule("allocate", pmul(pv("x"), pv("y")), allocate)
+
+
+def test_no_automatic_collection_while_a_run_is_active():
+    from repro.saturation.runner import _HEAP_FREEZE
+
+    keep = []
+    during_run = []
+
+    def record(phase, info):
+        if phase == "start" and _HEAP_FREEZE._active:
+            during_run.append(("collect", info["generation"]))
+
+    # The same allocation outside a run does trigger collections, so
+    # the check below is not vacuous.
+    outside = []
+    gc.callbacks.append(lambda phase, info: outside.append(phase))
+    try:
+        _allocating_rule(keep).applier(None, None)
+    finally:
+        gc.callbacks.pop()
+    assert outside
+    runner, root = _runner(extra_rules=[_allocating_rule(keep)])
+    runner.on_step_end.append(lambda *_: during_run.append("step"))
+    gc.callbacks.append(record)
+    try:
+        result = runner.run(root)
+    finally:
+        gc.callbacks.remove(record)
+    assert len(keep) > 10 * gc.get_threshold()[0]
+    # Only the one young-generation collection each step boundary makes
+    # before it freezes the heap.
+    assert result.num_steps >= 2
+    assert during_run == [("collect", 0), "step"] * result.num_steps
+    assert gc.isenabled()
+
+
+def test_gc_enabled_again_after_a_normal_end():
+    seen = []
+    runner, root = _runner()
+    runner.on_step_end.append(lambda *_: seen.append(gc.isenabled()))
+    runner.run(root)
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_gc_enabled_again_after_a_raising_applier():
+    def explode(egraph, match):
+        raise RuntimeError("applier failed")
+
+    runner, root = _runner(extra_rules=[dynamic_rule("boom", pmul(pv("x"), pv("y")), explode)])
+    with pytest.raises(RuntimeError, match="applier failed"):
+        runner.run(root)
+    assert gc.isenabled()
+
+
+def test_gc_stays_disabled_when_the_caller_disabled_it():
+    gc.disable()
+    runner, root = _runner()
+    runner.run(root)
+    assert not gc.isenabled()
 
 
 def test_run_freezes_each_step_and_unfreezes_at_the_end():
@@ -93,7 +170,9 @@ def test_concurrent_runs_unfreeze_only_when_the_last_ends():
                 second_done.wait(timeout=60)
                 # The second run ended while this one was still active:
                 # its end must not have unfrozen this run's heap.
-                seen_while_second_done.append(gc.get_freeze_count())
+                seen_while_second_done.append(
+                    (gc.get_freeze_count() > 0, gc.isenabled())
+                )
 
         runner.on_step_end.append(hold)
         try:
@@ -117,8 +196,60 @@ def test_concurrent_runs_unfreeze_only_when_the_last_ends():
     for thread in threads:
         thread.join(timeout=120)
     assert not errors
-    assert seen_while_second_done and seen_while_second_done[0] > 0
+    # Frozen and still collector-free after the second run ended.
+    assert seen_while_second_done == [(True, False)]
     assert gc.get_freeze_count() == 0
+    assert gc.isenabled()
+
+
+class _Cycle:
+    pass
+
+
+def test_overlapping_runs_still_collect_other_threads_garbage():
+    # Runs that overlap keep the count of active runs above zero, so
+    # the collector stays off; cyclic garbage made meanwhile by another
+    # thread must still go at the next step boundary of some run, not
+    # wait for the last run to end.
+    first_active = threading.Event()
+    second_done = threading.Event()
+    seen = []
+    errors = []
+    garbage = []
+
+    def first():
+        runner, root = _runner(step_limit=2)
+
+        def hold(runner_, step, record):
+            if step == 1:
+                first_active.set()
+                second_done.wait(timeout=60)
+                seen.append((garbage[0]() is None, gc.isenabled()))
+
+        runner.on_step_end.append(hold)
+        try:
+            runner.run(root)
+        except BaseException as error:  # surfaced by the main thread
+            errors.append(error)
+
+    thread = threading.Thread(target=first)
+    thread.start()
+    try:
+        assert first_active.wait(timeout=60)
+        cycle = _Cycle()
+        cycle.self = cycle
+        garbage.append(weakref.ref(cycle))
+        del cycle
+        assert garbage[0]() is not None
+        # A second run starts and ends while the first is still active.
+        runner, root = _runner(step_limit=1)
+        runner.run(root)
+    finally:
+        second_done.set()
+        thread.join(timeout=120)
+    assert not errors
+    assert seen == [(True, False)]
+    assert gc.isenabled()
 
 
 _NO_CYCLES = """
@@ -163,7 +294,12 @@ def test_forked_child_starts_with_no_active_run():
     heap.freeze()
     heap.after_fork_in_child()
     assert gc.get_freeze_count() > 0
+    # The collector comes back as the parent's caller had it; frozen
+    # objects stay out of its reach.
+    assert gc.isenabled()
     heap.enter()
+    assert not gc.isenabled()
     heap.freeze()
     heap.leave()
     assert gc.get_freeze_count() == 0
+    assert gc.isenabled()

@@ -23,8 +23,25 @@ class TestRuleStats:
     def test_round_trip(self):
         stats = RuleStats("r", search_seconds=0.5, searches=3,
                           matches_found=10, matches_applied=4, unions=2,
+                          apply_seconds=0.25, nodes_added=7,
+                          effective_applications=3,
                           bans=1, banned_steps=5)
         assert RuleStats.from_dict(stats.to_dict()) == stats
+
+    def test_apply_fields_add_and_aggregate(self):
+        a = RuleStats("r", apply_seconds=0.5, nodes_added=2,
+                      effective_applications=1)
+        b = RuleStats("r", apply_seconds=0.25, nodes_added=3,
+                      effective_applications=4)
+        total = aggregate_rule_stats([{"r": a.to_dict()}, {"r": b.to_dict()}])
+        assert total["r"]["apply_seconds"] == pytest.approx(0.75)
+        assert total["r"]["nodes_added"] == 5
+        assert total["r"]["effective_applications"] == 5
+        # Profiles written before the fields existed still load.
+        legacy = {k: v for k, v in a.to_dict().items()
+                  if k not in ("apply_seconds", "nodes_added",
+                               "effective_applications")}
+        assert RuleStats.from_dict(legacy).effective_applications == 0
 
     def test_add_accumulates(self):
         a = RuleStats("r", searches=1, matches_found=2, unions=1)
@@ -101,6 +118,52 @@ class TestRunnerTelemetry:
         for record in result.steps[1:]:
             assert record.phases.search_cpu <= record.phases.search + 1e-6
 
+    def test_apply_telemetry_matches_a_counting_apply(self, monkeypatch):
+        # Count what Rule.apply does, call by call, and compare with the
+        # per-rule fields the runner derives from blocks of the apply
+        # list.
+        from repro.egraph.rewrite import Rule
+        from repro.egraph import intro_fst_tuple_rule
+
+        counts = {}
+        real_apply = Rule.apply
+
+        def counting_apply(rule, egraph, match):
+            version, nodes = egraph.version, egraph.num_nodes
+            made = real_apply(rule, egraph, match)
+            row = counts.setdefault(rule.name, [0, 0, 0, 0])
+            row[0] += 1
+            row[1] += egraph.version != version
+            row[2] += egraph.num_nodes - nodes
+            row[3] += made
+            return made
+
+        monkeypatch.setattr(Rule, "apply", counting_apply)
+        eg = EGraph()
+        root = eg.add_term(parse("(x + 0) * (y + 0)"))
+        rules = [
+            rewrite("add-zero", padd(pv("x"), pconst(0)), pv("x")),
+            rewrite("commute", pmul(pv("a"), pv("b")), pmul(pv("b"), pv("a"))),
+            intro_fst_tuple_rule(max_candidates=2),
+        ]
+        result = Runner(eg, rules, step_limit=3).run(root)
+        assert set(counts) == set(result.rule_stats)
+        for name, (applied, effective, nodes, unions) in counts.items():
+            stats = result.rule_stats[name]
+            assert stats.matches_applied == applied
+            assert stats.effective_applications == effective
+            assert stats.nodes_added == nodes
+            assert stats.unions == unions
+            assert stats.apply_seconds > 0.0
+        # The run did both kinds of work: no-op and effective matches,
+        # and rules that add nodes besides rules that only merge.
+        total = sum(row[0] for row in counts.values())
+        assert 0 < sum(row[1] for row in counts.values()) < total
+        assert counts["add-zero"][2] == 0
+        assert counts["R-IntroFstTuple"][2] > 0
+        applies = sum(s.apply_seconds for s in result.rule_stats.values())
+        assert applies <= result.total_phases().apply + 1e-6
+
     def test_duplicate_rule_names_disambiguated(self):
         eg = EGraph()
         root = eg.add_term(parse("x + 0"))
@@ -170,6 +233,7 @@ class TestCliRuleProfile:
         assert any(s["matches_found"] > 0 for s in aggregate.values())
         assert all(
             set(s) >= {"search_seconds", "matches_found", "matches_applied",
-                       "unions", "bans", "banned_steps"}
+                       "unions", "apply_seconds", "nodes_added",
+                       "effective_applications", "bans", "banned_steps"}
             for s in aggregate.values()
         )

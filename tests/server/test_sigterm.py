@@ -67,10 +67,11 @@ def test_sigterm_stops_daemon_and_pool_workers(tmp_path):
         url = _announced_url(daemon)
         remote = RemoteSession(url, limits=Limits(step_limit=2, node_limit=800))
         assert remote.healthz()["pool"]["warm"]
-        # The fork pool starts its workers with the first job.
-        assert remote.report(("memset", "blas")).ok
+        # A warm pool has its worker before any job was submitted.
         workers = _children(daemon.pid)
         assert workers, "the warm pool forked no worker"
+        assert remote.report(("memset", "blas")).ok
+        assert _children(daemon.pid) == workers
 
         daemon.send_signal(signal.SIGTERM)
         assert daemon.wait(timeout=30) == 0
