@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional
 
 from ..ir.shapes import Array, Scalar, Shape
@@ -295,7 +295,18 @@ class OptimizationReport:
         return parse(self.solution)
 
     def to_dict(self) -> dict:
-        data = asdict(self)
+        # Field by field, each container copied one level deep: a deep
+        # copy (``asdict``) of the per-rule ``rule_stats`` cost several
+        # times the JSON encoding on every served hit and poll.  Nested
+        # containers are shared with the report; no caller mutates them.
+        data = {}
+        for name in _REPORT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is dict:
+                value = dict(value)
+            elif type(value) is list:
+                value = list(value)
+            data[name] = value
         data["best_cost"] = _cost_to_json(self.best_cost)
         data["deterministic"] = self.deterministic
         return data
@@ -313,6 +324,9 @@ class OptimizationReport:
     @classmethod
     def from_json(cls, text: str) -> "OptimizationReport":
         return cls.from_dict(json.loads(text))
+
+
+_REPORT_FIELDS = tuple(f.name for f in fields(OptimizationReport))
 
 
 def report_cache_key(

@@ -12,10 +12,18 @@ time from the occurrence's position in the depth-first, left-to-right
 walk the matching order follows, so the generated code does no
 bindings-dict lookups, copies or pattern dispatch at run time.
 
-The program yields exactly what a backtracking interpreter over the
-same pattern would, in the same order: one bindings dict per match,
-keyed in first-binding order, holding :class:`ClassBinding` /
-:class:`TermBinding` values and ints for size variables.  The rules of
+The program yields one flat *key* per match, in the order a
+backtracking interpreter over the same pattern would find the matches:
+the tuple ``(root, v1, ..., vn)`` of the matched class and every
+variable's value in first-binding order.  A value is raw: a class id
+(a ``find`` root), a :class:`~repro.ir.terms.Term`, or a size int, by
+the mode of the variable's first occurrence, which the compiled pattern
+records (:class:`CompiledPattern`) along with the key positions that
+hold class ids.  No bindings dict or binding object is built while
+matching; :meth:`CompiledPattern.bindings` turns a key back into the
+interpreter's bindings dict (:class:`ClassBinding` /
+:class:`TermBinding` values, ints for size variables, keyed in
+first-binding order) for the matches that are applied.  The rules of
 a repeated variable ``?x`` follow its first occurrence:
 
 * class-bound, class-mode occurrence: the classes must be equal;
@@ -43,6 +51,7 @@ hashable): every rule set built for the same targets shares them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, Iterator, List, Protocol, Set, Tuple, cast
 
@@ -51,6 +60,8 @@ from .enode import ENode
 from .pattern import Bindings, ClassBinding, PNode, Pattern, PVar, SizeVar, TermBinding
 
 __all__ = [
+    "CompiledPattern",
+    "Key",
     "MatchGraph",
     "Program",
     "compile_pattern",
@@ -74,8 +85,35 @@ class MatchGraph(Protocol):
     ) -> List[Term]: ...
 
 
-#: A compiled pattern: ``program(egraph, class_id)`` yields bindings.
-Program = Callable[[MatchGraph, int], Iterator[Bindings]]
+#: One match: the matched class, then every variable's value in
+#: first-binding order.
+Key = Tuple[object, ...]
+
+#: A matching program: ``program(egraph, class_id)`` yields keys.
+Program = Callable[[MatchGraph, int], Iterator[Key]]
+
+#: A pattern's variables in first-binding order, each with the mode of
+#: its first occurrence: ``"class"``, ``"term"`` or ``"size"``.
+Layout = Tuple[Tuple[str, str], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledPattern:
+    """A pattern's matching program and the layout of its keys.
+
+    Key position 0 holds the matched class; position ``i + 1`` holds
+    variable ``names[i]``, a class id, a term or a size int by
+    ``modes[i]``.  ``class_positions`` lists the positions holding
+    class ids (0 first), the ones a merge can make stale.
+    """
+
+    program: Program
+    names: Tuple[str, ...]
+    modes: Tuple[str, ...]
+    class_positions: Tuple[int, ...]
+    #: ``bindings(key)`` is the bindings dict of one key.
+    bindings: Callable[[Key], Bindings]
+
 
 #: Operators whose e-nodes always carry this many children.
 _ARITY = {
@@ -116,9 +154,8 @@ class _Compiler:
         self.counter = 0
         # Variable name -> (mode, local): mode "class", "term" or "size".
         self.slots: Dict[str, Tuple[str, str]] = {}
-        # Variable name -> local holding its ClassBinding/TermBinding.
-        self.bindings: Dict[str, str] = {}
         self.order: List[str] = []
+        self.root = ""
         self.uses: Set[str] = set()
 
     # -- emission helpers ------------------------------------------------
@@ -206,17 +243,13 @@ class _Compiler:
         term_mode = var.shift != 0 or var.as_term
         slot = self.slots.get(var.name)
         if slot is None:
-            # The binding object is made where the variable is bound, so
-            # every match extending this partial one shares it.
             self.order.append(var.name)
             if not term_mode:
                 self.slots[var.name] = ("class", class_var)
-                self.line(f"{self.bound(var.name)} = ClassBinding({class_var})")
                 return
             local = self.fresh("t", defined=False)
             self.slots[var.name] = ("term", local)
             self.open_loop(local, f"{self.use('unshifted')}({class_var}, {var.shift})")
-            self.line(f"{self.bound(var.name)} = TermBinding({local})")
             return
         mode, local = slot
         fail = self.fail()
@@ -234,18 +267,12 @@ class _Compiler:
             candidates = self.use("candidates")
             self.line(f"if {local} not in {candidates}({class_var}): {fail}")
 
-    def bound(self, name: str) -> str:
-        """The local holding variable ``name``'s binding object."""
-        local = self.fresh("b")
-        self.bindings[name] = local
-        return local
-
     def finish(self) -> None:
-        items = []
-        for name in self.order:
-            mode, local = self.slots[name]
-            items.append(f"{name!r}: {local if mode == 'size' else self.bindings[name]}")
-        self.line("yield {" + ", ".join(items) + "}")
+        items = [self.root] + [self.slots[name][1] for name in self.order]
+        self.line("yield (" + ", ".join(items) + ",)")
+
+    def layout(self) -> Layout:
+        return tuple((name, self.slots[name][0]) for name in self.order)
 
 
 #: Graph methods a program may bind to locals, by local name.
@@ -258,48 +285,75 @@ _METHODS = {
 
 _DEAD_SOURCE = "def _match(egraph, root):\n    return\n    yield\n"
 
+#: How a key value becomes a bindings value, by mode.
+_BINDING_OF = {"class": "ClassBinding({})", "term": "TermBinding({})", "size": "{}"}
+
+
+def _bindings_source(layout: Layout) -> str:
+    """``_bindings(key)``: the bindings dict of one key."""
+    items = ", ".join(
+        f"{name!r}: " + _BINDING_OF[mode].format(f"key[{position}]")
+        for position, (name, mode) in enumerate(layout, 1)
+    )
+    return f"def _bindings(key):\n    return {{{items}}}\n"
+
 
 def _walk(pattern: Pattern, methods: List[str], max_loops: int) -> _Compiler:
     compiler = _Compiler(methods, max_loops)
     for name in methods:
         compiler.line(f"{name} = egraph.{_METHODS[name]}")
-    root = compiler.fresh("c")
-    compiler.line(f"{root} = {compiler.use('find')}(root)")
-    compiler.match(pattern, root)
+    compiler.root = compiler.fresh("c")
+    compiler.line(f"{compiler.root} = {compiler.use('find')}(root)")
+    compiler.match(pattern, compiler.root)
     compiler.finish()
     return compiler
 
 
 def program_source(
     pattern: Pattern, max_loops: int = _MAX_LOOPS
-) -> Tuple[str, Dict[str, object]]:
+) -> Tuple[str, Dict[str, object], Layout]:
     """The generated source of ``pattern``'s program (entry point
-    ``_match``) and the payload constants it refers to.  Nests deeper
-    than ``max_loops`` loops continue in helper generators."""
+    ``_match``) and of the function turning one of its keys into a
+    bindings dict (``_bindings``), the payload constants they refer to,
+    and the layout of the keys.  Nests deeper than ``max_loops`` loops
+    continue in helper generators."""
     try:
         uses = _walk(pattern, list(_METHODS), max_loops).uses
         used = [name for name in _METHODS if name in uses]
         compiler = _walk(pattern, used, max_loops)
     except _Dead:
-        return _DEAD_SOURCE, {}
-    source = "\n\n".join("\n".join(lines) for lines in compiler.functions)
-    return source + "\n", compiler.constants
+        return _DEAD_SOURCE + "\n\n" + _bindings_source(()), {}, ()
+    layout = compiler.layout()
+    functions = ["\n".join(lines) + "\n" for lines in compiler.functions]
+    source = "\n\n".join(functions + [_bindings_source(layout)])
+    return source, compiler.constants, layout
 
 
-def load_program(source: str, constants: Dict[str, object]) -> Program:
-    """Compile :func:`program_source` output into its program."""
+def load_program(
+    source: str, constants: Dict[str, object], layout: Layout
+) -> CompiledPattern:
+    """Compile :func:`program_source` output into its compiled pattern."""
     namespace: Dict[str, object] = {
         "ClassBinding": ClassBinding,
         "TermBinding": TermBinding,
         **constants,
     }
     exec(compile(source, "<pattern>", "exec"), namespace)
-    return cast(Program, namespace["_match"])
+    modes = tuple(mode for _, mode in layout)
+    return CompiledPattern(
+        program=cast(Program, namespace["_match"]),
+        names=tuple(name for name, _ in layout),
+        modes=modes,
+        class_positions=(0,) + tuple(
+            position for position, mode in enumerate(modes, 1) if mode == "class"
+        ),
+        bindings=cast(Callable[[Key], Bindings], namespace["_bindings"]),
+    )
 
 
 @lru_cache(maxsize=4096)
-def compile_pattern(pattern: Pattern) -> Program:
-    """The compiled matching program of ``pattern``, cached by value."""
+def compile_pattern(pattern: Pattern) -> CompiledPattern:
+    """The compiled pattern of ``pattern``, cached by value."""
     return load_program(*program_source(pattern))
 
 
@@ -307,4 +361,5 @@ def match_class(
     egraph: MatchGraph, pattern: Pattern, class_id: int
 ) -> Iterator[Bindings]:
     """Yield every binding under which ``pattern`` matches ``class_id``."""
-    return compile_pattern(pattern)(egraph, class_id)
+    compiled = compile_pattern(pattern)
+    return map(compiled.bindings, compiled.program(egraph, class_id))

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..ir.debruijn import shift as shift_term, subst
 from ..ir.terms import App, Index, Lam, Term, Build, Fst, Snd, Tuple as TupleTerm
 from .egraph import ClassRef, EGraph
-from .matcher import compile_pattern
+from .matcher import CompiledPattern, compile_pattern
 from .pattern import (
     Bindings,
     ClassBinding,
@@ -100,12 +100,14 @@ class Rule:
     _requirements: Optional[RhsRequirements] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The searcher's matching program and key layout.
+    compiled: CompiledPattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Compile the searcher up front.  Programs are cached by pattern
         # value, so the rule sets built per target (and per served
         # request) share one program per distinct pattern.
-        compile_pattern(self.searcher)
+        self.compiled = compile_pattern(self.searcher)
         if self.applier is None:
             if self.rhs is None:
                 raise ValueError(f"rule {self.name!r} has neither rhs nor applier")
@@ -116,11 +118,13 @@ class Rule:
 
         Delegates to :func:`repro.saturation.ematch.search_rule`, which
         also supports the engine's restricted (incremental) and
-        deadline-bounded search modes.
+        deadline-bounded search modes, and builds each match's bindings
+        from the key it yields.
         """
         from ..saturation.ematch import search_rule
 
-        return search_rule(egraph, self)
+        bindings = self.compiled.bindings
+        return [Match(key[0], bindings(key)) for key in search_rule(egraph, self)]
 
     def apply(self, egraph: EGraph, match: Match) -> int:
         """Apply the rule to one match; returns number of unions made."""

@@ -89,10 +89,11 @@ class Term:
     def __hash__(self) -> int:
         """Hash of the equality fields (the value a frozen dataclass
         computes), cached in ``_hash`` on first use."""
-        try:
-            return self._hash
-        except AttributeError:
-            pass
+        # An unset slot reads as None without raising: a raise and catch
+        # would cost more than the hash of a fresh node.
+        value = getattr(self, "_hash", None)
+        if value is not None:
+            return value
         key = _KEY_GETTERS.get(type(self)) or _key_getter(type(self))
         value = hash(key(self))
         object.__setattr__(self, "_hash", value)

@@ -29,12 +29,13 @@ whenever the closure stops being selective.
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..egraph.egraph import EGraph
-from ..egraph.matcher import compile_pattern
+from ..egraph.matcher import Key
 from ..egraph.pattern import PNode
-from ..egraph.rewrite import Match, Rule
+from ..egraph.rewrite import Rule
 
 __all__ = ["parent_closure", "search_rule", "IncrementalMatcher"]
 
@@ -66,9 +67,11 @@ def search_rule(
     rule: Rule,
     restrict: Optional[FrozenSet[int]] = None,
     deadline: Optional[float] = None,
-) -> List[Match]:
-    """All matches of ``rule`` rooted in ``restrict`` (or anywhere when
-    ``restrict`` is ``None``), honoring the rule's ``match_limit``.
+) -> List[Key]:
+    """The keys of all matches of ``rule`` rooted in ``restrict`` (or
+    anywhere when ``restrict`` is ``None``), honoring the rule's
+    ``match_limit``.  A key is the flat tuple its compiled program
+    yields (:class:`~repro.egraph.matcher.CompiledPattern`).
 
     Candidate order is the same insertion order a full scan would use,
     so a restricted search applies new matches in exactly the order the
@@ -76,8 +79,8 @@ def search_rule(
     aborts the scan early so one enormous search cannot overshoot the
     run's time limit; partial results are still valid matches.
     """
-    matches: List[Match] = []
-    program = compile_pattern(rule.searcher)
+    keys: List[Key] = []
+    program = rule.compiled.program
     limit = rule.match_limit
     root_op = rule.searcher.op if isinstance(rule.searcher, PNode) else None
     if root_op is None:
@@ -93,11 +96,10 @@ def search_rule(
         if restrict is not None and egraph.find(class_id) not in restrict:
             continue
         # ``has_class`` held, so ``class_id`` is canonical.
-        for bindings in program(egraph, class_id):
-            matches.append(Match(class_id, bindings))
-            if len(matches) >= limit:
-                return matches
-    return matches
+        keys.extend(islice(program(egraph, class_id), limit - len(keys)))
+        if len(keys) >= limit:
+            return keys
+    return keys
 
 
 class IncrementalMatcher:

@@ -34,13 +34,13 @@ import gc
 import os
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from ..ir.terms import Term, collect_calls
 from ..egraph.egraph import EGraph
 from ..extraction import CostModel, contributing_events, make_extractor
-from ..egraph.pattern import ClassBinding, TermBinding
 from ..egraph.rewrite import Match, Rule
 from ..obs.metrics import NULL_METRICS, MetricsRegistry
 from ..obs.trace import CAT_EXTRACT, CAT_PHASE, CAT_RULE, CAT_STEP, NULL_TRACER, Tracer
@@ -61,97 +61,96 @@ __all__ = [
 _APPLY_DEADLINE_STRIDE = 16
 
 
-def _binding_signature(egraph: EGraph, match: Match) -> tuple:
-    """Hashable, canonicalized signature of a match, used to avoid
-    re-applying the same rule to the same match every step."""
-    parts = []
-    for name in sorted(match.bindings):
-        value = match.bindings[name]
-        if isinstance(value, ClassBinding):
-            parts.append((name, "c", egraph.find(value.class_id)))
-        elif isinstance(value, TermBinding):
-            parts.append((name, "t", value.term))
-        else:
-            parts.append((name, "v", value))
-    return (egraph.find(match.class_id), tuple(parts))
-
-
-def _canonicalize_signature(
-    find: Callable[[int], int], signature: tuple
-) -> tuple:
-    """Re-canonicalize the class ids embedded in an applied-match
-    signature through ``find`` (the e-graph's), reusing the parts that
-    hold no class id."""
-    rule_index, context, (root, parts) = signature
-    new_parts = tuple([
-        (part[0], "c", find(part[2])) if part[1] == "c" else part
-        for part in parts
-    ])
-    return (rule_index, context, (find(root), new_parts))
-
-
 class AppliedSet:
-    """Signatures of the matches applied so far, so the same rule is
-    not re-applied to the same match every step.
+    """Keys of the matches applied so far, so the same rule is not
+    re-applied to the same match every step.
 
-    Signatures are captured at match time; after later merges their
-    class ids go stale and the same logical match would look unseen
-    forever.  :meth:`canonicalize` brings the set up to date after a
-    rebuild.  An index from each class id to the signatures mentioning
-    it (as the match root or a class binding) lets it visit only the
-    ids that stopped being union-find roots and re-canonicalize only
-    their signatures: the others hold roots only, which ``find`` leaves
-    as they are.
+    A match's signature is ``(rule_index, context, key)``: the key its
+    compiled program yielded (:class:`~repro.egraph.matcher.CompiledPattern`)
+    under the rule's applier context.  A rule's variables, their order
+    and their modes are fixed when it is compiled, so equal keys of one
+    rule are exactly the matches with equal bindings.  Keys are stored
+    per ``(rule_index, context)`` group.
+
+    Keys are captured at match time; after later merges their class ids
+    go stale and the same logical match would look unseen forever.
+    :meth:`canonicalize` brings the set up to date after a rebuild.  An
+    index from each class id to the keys holding it (at one of its
+    rule's ``class_positions``) lets it visit only the ids that stopped
+    being union-find roots and re-canonicalize only their keys: the
+    others hold roots only, which ``find`` leaves as they are.
     """
 
-    __slots__ = ("_signatures", "_mentions")
+    __slots__ = ("_positions", "_groups", "_mentions", "_size")
 
-    def __init__(self) -> None:
-        self._signatures: Set[tuple] = set()
-        # class id -> signatures that mention it.  Lists, appended to
-        # without hashing; an entry whose signature has since been
+    def __init__(self, class_positions: Sequence[Tuple[int, ...]]) -> None:
+        # Per rule index, the key positions that hold class ids.
+        self._positions = class_positions
+        self._groups: Dict[tuple, Set[tuple]] = {}
+        # class id -> (group, key) entries whose key holds it.  Lists,
+        # appended to without hashing; an entry whose key has since been
         # re-canonicalized away is skipped when its id goes stale.
-        self._mentions: Dict[int, List[tuple]] = {}
-
-    def __contains__(self, signature: object) -> bool:
-        return signature in self._signatures
+        self._mentions: Dict[int, List[Tuple[tuple, tuple]]] = defaultdict(list)
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self._signatures)
+        return self._size
 
-    def add(self, signature: tuple) -> None:
-        signatures = self._signatures
-        if signature in signatures:
-            return
-        signatures.add(signature)
+    def fresh(self, rule_index: int, context: object, keys: Sequence[tuple]) -> List[tuple]:
+        """``keys`` in first-seen order, without repeats and without the
+        keys applied already under ``context``."""
+        unique = dict.fromkeys(keys)
+        done = self._groups.get((rule_index, context))
+        if not done:
+            return list(unique)
+        return [key for key in unique if key not in done]
+
+    def add(self, rule_index: int, context: object, keys: Sequence[tuple]) -> None:
+        """Record ``keys`` as applied under ``context``."""
+        group_id = (rule_index, context)
+        group = self._groups.get(group_id)
+        if group is None:
+            group = self._groups[group_id] = set()
+        positions = self._positions[rule_index]
         mentions = self._mentions
-        _, _, (root, parts) = signature
-        mentions.setdefault(root, []).append(signature)
-        for part in parts:
-            if part[1] == "c":
-                mentions.setdefault(part[2], []).append(signature)
+        for key in keys:
+            # One hash per key: a key already present leaves the size.
+            size = len(group)
+            group.add(key)
+            if len(group) == size:
+                continue
+            self._size += 1
+            entry = (group_id, key)
+            for position in positions:
+                mentions[key[position]].append(entry)
 
     def clear(self) -> None:
-        self._signatures.clear()
+        self._groups.clear()
         self._mentions.clear()
+        self._size = 0
 
     def canonicalize(self, find: Callable[[int], int]) -> None:
-        """Re-canonicalize every signature through ``find``; signatures
-        that become equal collapse into one."""
+        """Re-canonicalize every key through ``find``; keys that become
+        equal collapse into one."""
         mentions = self._mentions
+        groups = self._groups
         stale = [class_id for class_id in mentions if find(class_id) != class_id]
-        signatures = self._signatures
         affected = {
-            signature
+            entry
             for class_id in stale
-            for signature in mentions.pop(class_id)
-            if signature in signatures
+            for entry in mentions.pop(class_id)
+            if entry[1] in groups[entry[0]]
         }
-        signatures -= affected
-        # Canonical signatures hold roots only, so none of them equals
-        # a signature being replaced; one may equal a kept signature.
-        for signature in affected:
-            self.add(_canonicalize_signature(find, signature))
+        for group_id, key in affected:
+            groups[group_id].discard(key)
+        self._size -= len(affected)
+        # Canonical keys hold roots only, so none of them equals a key
+        # being replaced; one may equal a kept key.
+        for group_id, key in affected:
+            canonical = list(key)
+            for position in self._positions[group_id[0]]:
+                canonical[position] = find(canonical[position])
+            self.add(group_id[0], group_id[1], (tuple(canonical),))
 
 
 class _HeapFreeze:
@@ -411,7 +410,7 @@ class Runner:
             contributed,
         ))
         stop_reason = StopReason.STEP_LIMIT
-        applied = AppliedSet()
+        applied = AppliedSet([rule.compiled.class_positions for rule in self.rules])
         _HEAP_FREEZE.enter()
         try:
             stop_reason = self._run_steps(
@@ -508,49 +507,46 @@ class Runner:
             apply_span = tracer.span("apply", cat=CAT_PHASE)
             apply_span.__enter__()
             unions = 0
-            # Matches arrive grouped by rule: each rule's contiguous
-            # block is timed once and its node growth read off num_nodes
-            # (merges do not change it before the rebuild).
-            block: Optional[RuleStats] = None
-            block_started = 0.0
-            block_nodes = 0
-            for index, (rule_stats, rule, match) in enumerate(matches):
-                if rule_stats is not block:
-                    now = time.perf_counter()
-                    if block is not None:
-                        block.apply_seconds += now - block_started
-                        block.nodes_added += egraph.num_nodes - block_nodes
-                    block, block_started, block_nodes = (
-                        rule_stats, now, egraph.num_nodes
-                    )
-                    # Tag mutations with the applying rule so the
-                    # e-graph's union-origin log can attribute them
-                    # (provenance).
-                    egraph.origin_tag = rule_stats.name
-                if (
-                    index % _APPLY_DEADLINE_STRIDE == 0
-                    and time.perf_counter() > deadline
-                ):
-                    timed_out = True
-                    break
-                version = egraph.version
-                made = rule.apply(egraph, match)
-                rule_stats.matches_applied += 1
-                if egraph.version != version:
-                    rule_stats.effective_applications += 1
-                    rule_stats.unions += made
-                    unions += made
-                    if egraph.num_nodes > self.node_limit:
+            # Matches arrive as one block of keys per rule: each block is
+            # timed once and its node growth read off num_nodes (merges
+            # do not change it before the rebuild).  A match's bindings
+            # are built only when it is applied.
+            admitted = sum(len(keys) for _, _, keys in matches)
+            index = 0
+            halted = False
+            for rule_stats, rule, keys in matches:
+                # Tag mutations with the applying rule so the e-graph's
+                # union-origin log can attribute them (provenance).
+                egraph.origin_tag = rule_stats.name
+                bindings = rule.compiled.bindings
+                block_started, block_nodes = time.perf_counter(), egraph.num_nodes
+                for key in keys:
+                    if (
+                        index % _APPLY_DEADLINE_STRIDE == 0
+                        and time.perf_counter() > deadline
+                    ):
+                        timed_out = halted = True
                         break
-            if block is not None:
-                block.apply_seconds += time.perf_counter() - block_started
-                block.nodes_added += egraph.num_nodes - block_nodes
+                    index += 1
+                    version = egraph.version
+                    made = rule.apply(egraph, Match(key[0], bindings(key)))
+                    rule_stats.matches_applied += 1
+                    if egraph.version != version:
+                        rule_stats.effective_applications += 1
+                        rule_stats.unions += made
+                        unions += made
+                        if egraph.num_nodes > self.node_limit:
+                            halted = True
+                            break
+                rule_stats.apply_seconds += time.perf_counter() - block_started
+                rule_stats.nodes_added += egraph.num_nodes - block_nodes
+                if halted:
+                    break
             egraph.origin_tag = None
             # Terms spliced in this phase are dead once it ends.
             egraph.drop_term_memo()
             # So are the matches: let refcounting free them before the
             # step boundary's collection would have to scan them.
-            admitted = len(matches)
             del matches
             apply_span.done()
             phases.apply = apply_span.duration
@@ -656,7 +652,7 @@ class Runner:
         deadline: float,
         phases: PhaseTimings,
         verify_pass: bool = False,
-    ) -> Tuple[List[Tuple[RuleStats, Rule, Match]], bool, bool]:
+    ) -> Tuple[List[Tuple[RuleStats, Rule, List[tuple]]], bool, bool]:
         """Search every schedulable rule once.
 
         The step runs *plan → execute → commit*, each stage in
@@ -666,15 +662,15 @@ class Runner:
         against applied matches, and match admission.
 
         Returns ``(matches, any_restricted, timed_out)`` where
-        ``matches`` carries ``(rule_stats, rule, match)`` triples whose
-        signatures have been committed to ``applied``.  The fixpoint
-        verification re-search (``verify_pass``) performs real work —
-        its search time and match counts accumulate — but must not
-        count the same step as banned twice.
+        ``matches`` carries one ``(rule_stats, rule, keys)`` block per
+        rule with admitted matches, the keys committed to ``applied``.
+        The fixpoint verification re-search (``verify_pass``) performs
+        real work — its search time and match counts accumulate — but
+        must not count the same step as banned twice.
         """
         egraph = self.egraph
         m = self.metrics
-        matches: List[Tuple[RuleStats, Rule, Match]] = []
+        matches: List[Tuple[RuleStats, Rule, List[tuple]]] = []
         any_restricted = False
         timed_out = False
 
@@ -712,7 +708,7 @@ class Runner:
 
         # --- execute: the read-only searches ----------------------------
         trace = self.tracer.enabled
-        outcomes: List[Tuple[float, List[Match]]] = []
+        outcomes: List[Tuple[float, List[tuple]]] = []
         for rule_index, restrict in tasks:
             rule = self.rules[rule_index]
             started = time.perf_counter()
@@ -734,8 +730,8 @@ class Runner:
             timed_out = True
 
         # --- commit: telemetry, dedup, admission — in rule order ------
-        # Its own span: building signatures and probing the applied
-        # set is search-phase time outside every rule's search_seconds.
+        # Its own span: dedup and applied-set probes are search-phase
+        # time outside every rule's search_seconds.
         dedup_span = self.tracer.span("search.dedup", cat=CAT_PHASE)
         dedup_span.__enter__()
         for (rule_index, restrict), (seconds, found) in zip(tasks, outcomes):
@@ -755,16 +751,7 @@ class Runner:
             # Dedup against everything already applied *before* the
             # scheduler counts: the match budget meters new work, not
             # the rediscovery of old matches.
-            fresh: List[Tuple[tuple, Match]] = []
-            seen: Set[tuple] = set()
-            for match in found:
-                signature = (
-                    rule_index, context, _binding_signature(egraph, match)
-                )
-                if signature in applied or signature in seen:
-                    continue
-                seen.add(signature)
-                fresh.append((signature, match))
+            fresh = applied.fresh(rule_index, context, found)
             admitted = scheduler.admit_matches(step, rule_index, rule, fresh)
             if not admitted and fresh:
                 # Banned: the discarded matches must be re-found once
@@ -777,9 +764,9 @@ class Runner:
                 if matcher is not None:
                     matcher.force_full(rule_index)
                 continue
-            for signature, match in admitted:
-                applied.add(signature)
-                matches.append((rule_stats, rule, match))
+            if admitted:
+                applied.add(rule_index, context, admitted)
+                matches.append((rule_stats, rule, admitted))
         dedup_span.done()
         return matches, any_restricted, timed_out
 

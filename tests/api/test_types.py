@@ -130,6 +130,29 @@ class TestOptimizationReport:
         assert report.error == "boom"
         assert OptimizationReport.from_json(report.to_json()) == report
 
+    def test_to_dict_serializes_like_a_deep_copy(self):
+        from dataclasses import asdict
+
+        from repro.api import Session
+
+        session = Session(Limits(step_limit=2, node_limit=800, top_k=2,
+                                 metrics=True))
+        result = session.optimize("vsum", "blas")
+        error = OptimizationReport.from_error(
+            {"kernel": "gemv", "target": "blas", "limits": {"steps": 2}}, "boom")
+        real = OptimizationReport.from_result(result, session.limits, 0.5)
+        assert real.rule_stats and real.candidates and real.metrics
+        for report in (real, error):
+            deep = asdict(report)
+            deep["best_cost"] = report.to_dict()["best_cost"]
+            deep["deterministic"] = report.deterministic
+            data = report.to_dict()
+            assert json.dumps(data, sort_keys=True) == json.dumps(deep, sort_keys=True)
+            assert report.to_json() == json.dumps(deep, sort_keys=True)
+            # The top-level containers are copies of the report's.
+            assert data["limits"] is not report.limits
+            assert data["library_calls"] is not report.library_calls
+
 
 class TestCacheKey:
     def test_stable_and_discriminating(self):

@@ -5,7 +5,8 @@ before patterns were compiled: it walks the pattern recursively,
 copying the bindings dict on every bind.  It is the specification the
 compiled programs of :mod:`repro.egraph.matcher` must reproduce — the
 same bindings, in the same order, with the same key order — on random
-e-graphs and patterns.
+e-graphs and patterns.  The programs yield flat keys; the comparisons
+rebuild each key's bindings with the compiled pattern's ``bindings``.
 """
 
 from typing import Iterator, List, Optional, Tuple as TupleT
@@ -137,11 +138,18 @@ def _ordered(bindings_list) -> List[List[tuple]]:
 
 
 def _assert_same(egraph, pattern: Pattern, max_loops: int = matcher._MAX_LOOPS) -> int:
-    program = matcher.load_program(*matcher.program_source(pattern, max_loops))
+    compiled = matcher.load_program(*matcher.program_source(pattern, max_loops))
     total = 0
     for class_id in egraph.class_ids():
         want = _ordered(oracle_match(egraph, pattern, class_id))
-        assert _ordered(program(egraph, class_id)) == want, (pattern, class_id)
+        keys = list(compiled.program(egraph, class_id))
+        assert _ordered(map(compiled.bindings, keys)) == want, (pattern, class_id)
+        for key in keys:
+            # The matched class, then one raw value per variable; class
+            # ids are union-find roots.
+            assert len(key) == len(compiled.names) + 1
+            assert key[0] == egraph.find(class_id)
+            assert all(egraph.find(key[p]) == key[p] for p in compiled.class_positions)
         total += len(want)
     return total
 
@@ -275,7 +283,8 @@ def test_compiled_matches_oracle(case, max_loops):
 def test_search_cutoff_matches_oracle(case, limit):
     egraph, pattern = case
     rule = dynamic_rule("probe", pattern, lambda egraph, match: [], match_limit=limit)
-    found = [(match.class_id, list(match.bindings.items())) for match in search_rule(egraph, rule)]
+    found = [(key[0], list(rule.compiled.bindings(key).items()))
+             for key in search_rule(egraph, rule)]
     want = [(class_id, list(b.items())) for class_id, b in _oracle_search(egraph, pattern, limit)]
     assert found == want
 
@@ -358,7 +367,7 @@ def test_deep_patterns_continue_in_helper_generators():
     for _ in range(depth):
         term, pattern = Lam(term), PNode("lam", None, (pattern,))
     egraph, (root,) = _graph(term)
-    source, _ = matcher.program_source(pattern)
+    source = matcher.program_source(pattern)[0]
     assert "yield from _part" in source
     assert list(match_class(egraph, pattern, root)) == [{"leaf": TermBinding(Var(0))}]
     assert _assert_same(egraph, pattern) == 1

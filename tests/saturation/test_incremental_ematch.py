@@ -98,10 +98,10 @@ class TestSearchRule:
         rule = rewrite("add-zero", padd(pv("x"), pconst(0)), pv("x"))
         everything = search_rule(eg, rule)
         assert len(everything) == 2
-        one_root = {everything[0].class_id}
+        one_root = {everything[0][0]}
         restricted = search_rule(eg, rule, frozenset(one_root))
         assert len(restricted) == 1
-        assert restricted[0].class_id in one_root
+        assert restricted[0][0] in one_root
 
     def test_expired_deadline_returns_no_matches(self):
         eg = EGraph()

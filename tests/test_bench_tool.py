@@ -70,8 +70,9 @@ def test_folds_alternating_runs_into_one_workload_entry(tmp_path):
     assert entry["signatures"]["change"] == {"memset/blas@1": ["aa"]}
     # One in-process saturation of the pair, on this checkout.
     ops = entry["op_counts"]["memset/blas@1"]
-    assert set(ops) == set(bench.OP_FIELDS) | {"enodes"}
-    assert ops["matches_found"] >= ops["matches_applied"] >= ops["effective_applications"]
+    assert set(ops) == set(bench.OP_FIELDS) | {"matches_admitted", "enodes"}
+    assert (ops["matches_found"] >= ops["matches_admitted"] >= ops["matches_applied"]
+            >= ops["effective_applications"])
     assert ops["effective_applications"] > 0 and ops["nodes_added"] > 0
 
     # A second workload folds into the same file; differing hashes show.

@@ -25,7 +25,8 @@ and this tool records, for the workload:
   for served-mix, whose details record none);
 * deterministic op counts from one in-process saturation per pair of
   the workload, on the checkout the tool runs from: matches found,
-  applied and effective, unions and e-nodes added.
+  admitted (the per-step ``matches`` summed), applied and effective,
+  unions and e-nodes added.
 
 Each invocation updates one workload's entry of ``--out`` (created if
 missing), so the three workloads fold into one file::
@@ -136,6 +137,7 @@ def op_counts(pair_keys: Sequence[str]) -> Dict[str, Dict[str, int]]:
             kernel, target)
         stats = result.run.rule_stats.values()
         counts = {name: sum(getattr(s, name) for s in stats) for name in OP_FIELDS}
+        counts["matches_admitted"] = sum(step.matches for step in result.run.steps)
         counts["enodes"] = result.final.enodes
         out[key] = counts
     return out
