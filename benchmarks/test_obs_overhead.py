@@ -31,7 +31,7 @@ MAX_OVERHEAD_FRACTION = 0.02
 
 #: Over-estimates of per-run instrumentation op counts, far above what
 #: the profile run (8 steps, ~130 rules) actually performs.
-SPANS_PER_RUN = 100          # step + phase + request/extract spans
+SPANS_PER_RUN = 150          # 12 step/phase/extract spans per step + request
 GUARDS_PER_RUN = 20_000      # tracer.enabled / metrics.enabled checks
 METRIC_CALLS_PER_RUN = 5_000  # disabled inc/set/observe calls reached
 #: Structured events per served request (accepted + job.started +

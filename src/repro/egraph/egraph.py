@@ -12,8 +12,12 @@ Extras needed by LIAR:
 * ``add_term`` / ``extract_smallest`` to move between terms and
   classes — rule application in LIAR extracts terms to run the De
   Bruijn ``shift``/``subst`` operators on them (§IV-B3, approach 2);
-  ``add_term`` memoizes subterm classes by term identity between
-  merges, so a term spliced into many right-hand sides is walked once;
+  ``add_subst`` inserts ``subst(e, y)`` without building it.  Both
+  memoize subterm classes by term identity, so a term spliced into
+  many right-hand sides is walked once.  The memos hold while every
+  child id of the e-nodes their walks built stays a union-find root
+  (then a fresh walk would build the same hashcons keys): a merge drops
+  them only when its loser is such a child id, and ``rebuild`` always;
 * :class:`ClassRef`, a pseudo-term that references an existing e-class
   so rule right-hand sides can mention matched classes without
   extracting them;
@@ -62,8 +66,8 @@ from typing import (
     Tuple as TupleT,
 )
 
-from ..ir.debruijn import try_unshift
-from ..ir.terms import Term
+from ..ir.debruijn import shift, try_unshift
+from ..ir.terms import Term, Var
 from .enode import ENode, enode_to_term_shallow, term_to_parts
 from .unionfind import UnionFind
 
@@ -175,13 +179,16 @@ class EGraph:
         self.union_origins: List[TupleT[str, int, int]] = []
         # Bumped on every mutation; used for fixpoint detection.
         self.version = 0
-        # Bumped by every merge() that joins two classes; stamps the
-        # add_term memo, which is exact only while find() is stable.
-        self.merges = 0
-        # (merges stamp, {id(term): (term, class id)}); see add_term.
-        self._term_memo: Optional[
-            TupleT[int, Dict[int, TupleT[Term, int]]]
-        ] = None
+        # {id(term): (term, class id)}; see add_term.
+        self._term_memo: Dict[int, TupleT[Term, int]] = {}
+        # {(id(term), depth): (term, value or None, class id)}; see
+        # add_subst.
+        self._subst_memo: Dict[
+            TupleT[int, int], TupleT[Term, Optional[Term], int]
+        ] = {}
+        # Child ids of every e-node the two memos' walks built; all are
+        # union-find roots while the memos hold (see merge).
+        self._memo_children: Set[int] = set()
         # Bumped only by rebuild(); the smallest-term table caches off
         # this so that rule appliers running inside one saturation step
         # share a single table instead of recomputing per mutation.
@@ -313,37 +320,100 @@ class EGraph:
 
         Every subterm's class is memoized by the subterm's identity
         (``id`` plus an ``is`` check; the memo holds the term, so its
-        id cannot be reused).  Inserting never changes an existing
-        lookup, and ``find`` is stable until the next merge, so the memo
-        is exact while :attr:`merges` keeps the value it was stamped
-        with: terms shared between calls (candidate representatives
+        id cannot be reused), and a hit answers ``find`` of the stored
+        class: terms shared between calls (candidate representatives
         spliced into many right-hand sides) cost one probe after their
-        first insertion.  :meth:`drop_term_memo` releases it.
+        first insertion.  The memo answers exactly what a fresh walk
+        would, because a fresh walk of a memoized subterm builds the
+        same e-nodes while their child ids stay union-find roots: the
+        keys are still in the hashcons (only :meth:`rebuild` removes
+        keys), and the stored class and the probed one have the same
+        root.  So :meth:`merge` keeps the memo unless the id that stops
+        being a root is a child id of some e-node a memoized walk built
+        (``_memo_children``); :meth:`rebuild` and :meth:`drop_term_memo`
+        always drop it.
         """
-        memo = self._term_memo
-        if memo is None or memo[0] != self.merges:
-            memo = self._term_memo = (self.merges, {})
-        return self._add_term(term, memo[1])
+        return self._add_term(term, self._term_memo)
 
     def _add_term(self, term: Term, memo: Dict[int, TupleT[Term, int]]) -> int:
         if isinstance(term, ClassRef):
             return self._uf.find(term.class_id)
         hit = memo.get(id(term))
         if hit is not None and hit[0] is term:
-            return hit[1]
+            return self._uf.find(hit[1])
         op, payload, child_terms = term_to_parts(term)
         # Every id _add_term returns is a union-find root, and inserting
         # never merges, so the node is canonical as built.
-        class_id = self.add_canonical(ENode(
-            op, payload, tuple([self._add_term(c, memo) for c in child_terms])
-        ))
+        children = tuple([self._add_term(c, memo) for c in child_terms])
+        if children:
+            self._memo_children.update(children)
+        class_id = self.add_canonical(ENode(op, payload, children))
         memo[id(term)] = (term, class_id)
         return class_id
 
+    def add_subst(self, term: Term, value: Term) -> int:
+        """``add_term(subst(term, value))`` without building the
+        substituted term: the paper's ``subst(e, y)`` (replace ``•0`` by
+        ``value``, lower the other free variables) inserted straight
+        into class ids.
+
+        The walk mirrors ``subst`` and ``add_term``'s post-order: a
+        ``Var`` of the substituted index becomes ``add_term`` of
+        ``value`` shifted to the depth (one shifted term per depth and
+        call), every other node one hashcons probe or insert over its
+        children's ids, with the payload ``subst`` would give it.  So it
+        inserts the same e-nodes in the same order.  Every subterm but a
+        variable has its class memoized by ``(id(term), depth)`` under the
+        same rule as the :meth:`add_term` memo, which it shares (values
+        go through it): an entry whose walk met no substituted variable
+        answers for every value, the others only for the same value
+        object.  This is what makes re-reducing a redex that
+        ``R-INTROLAMBDA`` built (``(λ e↑) y``, whose body never mentions
+        ``•0``) one probe for every ``y`` after the first.
+        """
+        return self._add_subst(term, value, 0, {})[0]
+
+    def _add_subst(
+        self, term: Term, value: Term, depth: int, shifted: Dict[int, Term]
+    ) -> TupleT[int, bool]:
+        """``(class id, whether the walk met the substituted index)``;
+        ``shifted`` caches ``shift(value, depth)`` per depth."""
+        if isinstance(term, Var):
+            index = term.index
+            if index == depth:
+                at_depth = shifted.get(depth)
+                if at_depth is None:
+                    at_depth = shifted[depth] = shift(value, depth) if depth else value
+                return self._add_term(at_depth, self._term_memo), True
+            if index > depth:
+                index -= 1
+            return self.add_canonical(ENode("var", index, ())), False
+        memo = self._subst_memo
+        key = (id(term), depth)
+        hit = memo.get(key)
+        if hit is not None and hit[0] is term and (hit[1] is None or hit[1] is value):
+            return self._uf.find(hit[2]), hit[1] is not None
+        op, payload, child_terms = term_to_parts(term)
+        inner = depth + 1 if op == "lam" else depth
+        used = False
+        ids = []
+        for child in child_terms:
+            child_id, child_used = self._add_subst(child, value, inner, shifted)
+            ids.append(child_id)
+            used = used or child_used
+        children = tuple(ids)
+        if children:
+            self._memo_children.update(children)
+        class_id = self.add_canonical(ENode(op, payload, children))
+        memo[key] = (term, value if used else None, class_id)
+        return class_id, used
+
     def drop_term_memo(self) -> None:
-        """Release the :meth:`add_term` memo (the runner calls this when
-        an apply phase ends)."""
-        self._term_memo = None
+        """Release the :meth:`add_term` and :meth:`add_subst` memos (the
+        runner calls this when an apply phase ends)."""
+        self._term_memo = {}
+        self._subst_memo = {}
+        self._memo_children = set()
 
     # ------------------------------------------------------------------
     # Merging and rebuilding
@@ -359,9 +429,12 @@ class EGraph:
         if self.origin_tag is not None:
             self.union_origins.append((self.origin_tag, root_a, root_b))
         self.version += 1
-        self.merges += 1
         new_root = self._uf.union(root_a, root_b)
         other = root_b if new_root == root_a else root_a
+        if other in self._memo_children:
+            # A memoized walk built an e-node over ``other``; a fresh
+            # walk would now build it over ``new_root`` (see add_term).
+            self.drop_term_memo()
         winner = self._classes[new_root]
         loser = self._classes.pop(other)
         winner.nodes.update(loser.nodes)
@@ -393,6 +466,8 @@ class EGraph:
         ``rebuild.analysis``); the saturation runner passes its tracer's
         ``span`` to time them."""
         unions = 0
+        # Repair re-keys the hashcons, which the add_term memo relies on.
+        self.drop_term_memo()
         # Slot-based repair pops each parent's *current* memo key
         # (``_slot_form``), so it cannot miss entries re-keyed by an
         # earlier merge — no O(memo) safety sweep is needed per

@@ -10,10 +10,13 @@ matched class.  Three applier flavours cover everything in the paper:
   applier function: :meth:`Rule.apply` instantiates ``rule.rhs``
   straight into class ids (:func:`~repro.egraph.pattern.add_instance`),
   as egg's pattern appliers do, without building a term.
-* **Function appliers** — compute the result term in Python.  Used by
-  ``R-BETAREDUCE``, whose RHS applies the expression-level ``subst``
-  operator (§IV-B3, approach 2: operators run on terms extracted from
-  e-classes).
+* **Function appliers** — compute the results in Python: terms to
+  insert, or ids of classes the applier inserted itself.
+  ``R-BETAREDUCE``'s RHS applies the expression-level ``subst``
+  operator to terms extracted from e-classes (§IV-B3, approach 2); its
+  applier inserts ``subst(e, y)`` straight into class ids
+  (:meth:`~repro.egraph.egraph.EGraph.add_subst`) instead of building
+  the substituted term first.
 * **Enumerating appliers** — rules whose RHS mentions variables that
   are *unbound* on the LHS (§IV-B4): ``R-INTROLAMBDA``,
   ``R-INTROINDEXBUILD``, ``R-INTROFSTTUPLE``, ``R-INTROSNDTUPLE``.
@@ -26,9 +29,9 @@ matched class.  Three applier flavours cover everything in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple as TupleT
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple as TupleT, Union
 
-from ..ir.debruijn import shift as shift_term, subst
+from ..ir.debruijn import shift as shift_term
 from ..ir.terms import App, Index, Lam, Term, Build, Fst, Snd, Tuple as TupleTerm
 from .egraph import ClassRef, EGraph
 from .matcher import CompiledPattern, compile_pattern
@@ -71,7 +74,8 @@ class Match:
     bindings: Bindings
 
 
-ApplierFn = Callable[[EGraph, Match], Sequence[Term]]
+#: An applier's results: terms to insert, or class ids already inserted.
+ApplierFn = Callable[[EGraph, Match], Sequence[Union[Term, int]]]
 
 
 @dataclass
@@ -137,8 +141,8 @@ class Rule:
             egraph.merge(new_class, match.class_id)
             return 1
         unions = 0
-        for term in self.applier(egraph, match):
-            new_class = egraph.add_term(term)
+        for result in self.applier(egraph, match):
+            new_class = result if isinstance(result, int) else egraph.add_term(result)
             if not egraph.same(new_class, match.class_id):
                 egraph.merge(new_class, match.class_id)
                 unions += 1
@@ -218,7 +222,10 @@ def beta_reduce_rule() -> Rule:
     """``R-BETAREDUCE``: ``(λ e) y → subst(e, y)``.
 
     ``e`` and ``y`` are bound as terms (extracted representatives) so
-    the expression-level ``subst`` operator can run on them.
+    the expression-level ``subst`` operator can run on them.  The
+    applier inserts the reduct straight into class ids
+    (:meth:`EGraph.add_subst`): the e-nodes and their order are those
+    of ``add_term(subst(e, y))``, without the intermediate term.
     """
     lhs = PNode(
         "app",
@@ -229,11 +236,11 @@ def beta_reduce_rule() -> Rule:
         ),
     )
 
-    def apply(egraph: EGraph, match: Match) -> Sequence[Term]:
+    def apply(egraph: EGraph, match: Match) -> Sequence[int]:
         body = match.bindings["e"]
         argument = match.bindings["y"]
         assert isinstance(body, TermBinding) and isinstance(argument, TermBinding)
-        return [subst(body.term, argument.term)]
+        return [egraph.add_subst(body.term, argument.term)]
 
     return dynamic_rule("R-BetaReduce", lhs, apply)
 

@@ -14,16 +14,20 @@ This module fixes the vocabulary shared by all extractors:
   e-nodes, which is what rule provenance walks
   (:mod:`repro.extraction.provenance`).
 
-Every extractor's cost fixpoint is guarded by an explicit iteration
-cap: a cost model that keeps lowering costs (non-monotone, NaN-happy,
-or unbounded-below) raises :class:`FixpointDivergence` with the
-offending classes instead of looping forever.
+Every extractor's cost fixpoint runs on one schedule,
+:func:`fixpoint_passes`: Gauss-Seidel passes over the classes that
+revisit only the classes with a child whose entry changed since their
+last visit.  It is guarded by an explicit iteration cap: a cost model
+that keeps lowering costs (non-monotone, NaN-happy, or unbounded-below)
+raises :class:`FixpointDivergence` with the offending classes instead
+of looping forever.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, List, Optional, Tuple as TupleT
+from typing import Callable, Dict, List, Optional, Tuple as TupleT
 
 from ..egraph.enode import ENode
 from ..ir.terms import Term
@@ -38,6 +42,7 @@ __all__ = [
     "ExtractionResult",
     "Extractor",
     "checked_enode_cost",
+    "fixpoint_passes",
 ]
 
 INFINITY = math.inf
@@ -138,6 +143,67 @@ def checked_enode_cost(
     if len(child_costs) != len(enode.children):
         raise CostModelArityError(enode, len(child_costs))
     return model.enode_cost(egraph, class_id, enode, child_costs)
+
+
+def fixpoint_passes(
+    egraph, visit: Callable[[object], bool], max_iterations: int, name: str
+) -> None:
+    """Run ``visit`` over the canonical classes in ``classes()`` order,
+    pass after pass, until a pass changes nothing; raise
+    :class:`FixpointDivergence` (``name``, the classes the last pass
+    changed) when pass ``max_iterations`` still changed something.
+
+    ``visit(eclass)`` re-evaluates one class from its children's
+    entries and returns whether its own entry changed.  The passes are
+    Gauss-Seidel — a visit sees the changes earlier visits of the same
+    pass made — and semi-naive: the first pass visits every class, and
+    later visits happen only for classes with a child whose entry
+    changed since their own last visit.  A change at position ``p``
+    queues the parents after ``p`` into this pass and the rest (``p``
+    itself included, for a class that is its own child) into the next.
+    A skipped visit would have changed nothing — every e-node would be
+    priced from the same child entries as at the class's last visit,
+    which kept the best of them — so the passes, the changes each makes
+    and the divergence condition are those of visiting every class in
+    every pass.  The parents come from ``egraph.parents_of``, which
+    lists every class holding an e-node over the class (parent-list
+    completeness, EG105; extra entries would only add visits that
+    change nothing).
+    """
+    order = list(egraph.classes())
+    # class id -> position in ``order``.
+    position = [0] * (max([eclass.class_id for eclass in order], default=-1) + 1)
+    for p, eclass in enumerate(order):
+        position[eclass.class_id] = p
+    now = list(range(len(order)))  # this pass's positions (a heap)
+    queued_now = bytearray(b"\x01") * len(order)
+    later: List[int] = []
+    queued_later = bytearray(len(order))
+    changed: List[int] = []
+    for _ in range(max_iterations):
+        changed = []
+        while now:
+            p = heapq.heappop(now)
+            queued_now[p] = 0
+            eclass = order[p]
+            if not visit(eclass):
+                continue
+            changed.append(eclass.class_id)
+            for parent in egraph.parents_of(eclass.class_id):
+                q = position[parent]
+                if q > p:
+                    if not queued_now[q]:
+                        queued_now[q] = 1
+                        heapq.heappush(now, q)
+                elif not queued_later[q]:
+                    queued_later[q] = 1
+                    later.append(q)
+        if not changed:
+            return
+        heapq.heapify(later)
+        now, later = later, now
+        queued_now, queued_later = queued_later, queued_now
+    raise FixpointDivergence(name, max_iterations, sorted(changed))
 
 
 class ExtractionResult:

@@ -39,8 +39,8 @@ from .base import (
     ExtractionError,
     ExtractionResult,
     Extractor,
-    FixpointDivergence,
     checked_enode_cost,
+    fixpoint_passes,
 )
 from .greedy import GreedyExtractor
 
@@ -117,24 +117,23 @@ class DagExtractor(Extractor):
     # ------------------------------------------------------------------
 
     def _refine(self) -> None:
-        egraph = self.egraph
-        for passes in range(_MAX_PASSES):
-            changed_classes = []
-            for eclass in list(egraph.classes()):
-                class_id = eclass.class_id
-                current = self._choices.get(class_id)
-                best_cost = current[0] if current is not None else INFINITY
-                best: Optional[TupleT[float, ENode, Dict[int, float]]] = None
-                for node in eclass.nodes:
-                    candidate = self._evaluate(class_id, node)
-                    if candidate is not None and candidate[0] < best_cost - _EPS:
-                        best_cost, best = candidate[0], candidate
-                if best is not None:
-                    self._choices[class_id] = best
-                    changed_classes.append(class_id)
-            if not changed_classes:
-                return
-        raise FixpointDivergence(self.name, _MAX_PASSES, changed_classes)
+        fixpoint_passes(self.egraph, self._relax, _MAX_PASSES, self.name)
+
+    def _relax(self, eclass) -> bool:
+        """Move the class to its cheapest candidate if that beats its
+        current choice by more than ``_EPS``."""
+        class_id = eclass.class_id
+        current = self._choices.get(class_id)
+        best_cost = current[0] if current is not None else INFINITY
+        best: Optional[TupleT[float, ENode, Dict[int, float]]] = None
+        for node in eclass.nodes:
+            candidate = self._evaluate(class_id, node)
+            if candidate is not None and candidate[0] < best_cost - _EPS:
+                best_cost, best = candidate[0], candidate
+        if best is None:
+            return False
+        self._choices[class_id] = best
+        return True
 
     def _evaluate(
         self, class_id: int, node: ENode

@@ -9,6 +9,16 @@ per-class table is computed as a fixpoint (necessary because saturated
 e-graphs are cyclic) and the final term is read off top-down by picking
 each class's argmin e-node.
 
+The fixpoint runs on :func:`~repro.extraction.base.fixpoint_passes`:
+Gauss-Seidel passes in class order, where a class is re-priced only
+after one of its children's costs dropped since its last visit.  A
+class none of whose children moved would price every e-node exactly as
+before and keep its choice (a strictly lower cost is needed to move
+it), so the costs, the chosen e-nodes and the
+:class:`~repro.extraction.base.FixpointDivergence` condition are those
+of the all-classes Bellman-Ford loop — at a fraction of its e-node
+pricings once the first pass has settled most classes.
+
 The tree cost double-counts shared subterms (a class referenced by two
 chosen parents is priced twice); :mod:`repro.extraction.dag` prices
 sharing once.  Greedy remains the default because the paper's cost
@@ -18,7 +28,7 @@ tree-cost terms.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple as TupleT
+from typing import Dict, List, Optional, Tuple as TupleT
 
 from ..egraph.enode import ENode, enode_to_term_shallow
 from ..ir.terms import Term
@@ -28,8 +38,8 @@ from .base import (
     CostModel,
     ExtractionResult,
     Extractor,
-    FixpointDivergence,
     checked_enode_cost,
+    fixpoint_passes,
 )
 
 __all__ = ["GreedyExtractor"]
@@ -53,36 +63,29 @@ class GreedyExtractor(Extractor):
         self._compute()
 
     def _compute(self) -> None:
-        egraph = self.egraph
         costs = self._costs
-        for class_id in egraph.class_ids():
+        for class_id in self.egraph.class_ids():
             costs[class_id] = (INFINITY, None)
-        changed = True
-        iterations = 0
-        self._last_changed: Set[int] = set()
         # Each pass can only lower class costs; termination is
         # guaranteed (for monotone cost models) because every class's
         # cost is bounded below by the cost of its cheapest finite
         # derivation (acyclic term).
-        while changed:
-            changed = False
-            iterations += 1
-            changed_classes: Set[int] = set()
-            if iterations > self.max_iterations:
-                raise FixpointDivergence(
-                    self.name, self.max_iterations, sorted(self._last_changed)
-                )
-            for eclass in list(egraph.classes()):
-                class_id = eclass.class_id
-                best_cost, best_node = costs.get(class_id, (INFINITY, None))
-                for enode in eclass.nodes:
-                    cost = self._enode_cost(class_id, enode)
-                    if cost < best_cost:
-                        best_cost, best_node = cost, enode
-                        changed = True
-                        changed_classes.add(class_id)
-                costs[class_id] = (best_cost, best_node)
-            self._last_changed = changed_classes
+        fixpoint_passes(self.egraph, self._visit, self.max_iterations, self.name)
+
+    def _visit(self, eclass) -> bool:
+        """Price every e-node of the class; keep the first cheapest one
+        if it beats the class's cost (ties keep the old choice)."""
+        class_id = eclass.class_id
+        best_cost, best_node = self._costs[class_id]
+        changed = False
+        for enode in eclass.nodes:
+            cost = self._enode_cost(class_id, enode)
+            if cost < best_cost:
+                best_cost, best_node = cost, enode
+                changed = True
+        if changed:
+            self._costs[class_id] = (best_cost, best_node)
+        return changed
 
     def _enode_cost(self, class_id: int, enode: ENode) -> float:
         child_costs: List[float] = []

@@ -31,8 +31,8 @@ from .base import (
     INFINITY,
     CostModel,
     ExtractionResult,
-    FixpointDivergence,
     checked_enode_cost,
+    fixpoint_passes,
 )
 
 __all__ = ["TopKEnumerator", "extract_topk"]
@@ -75,21 +75,17 @@ class TopKEnumerator:
     # ------------------------------------------------------------------
 
     def _compute(self) -> None:
-        egraph = self.egraph
-        lists = self._lists
-        for class_id in egraph.class_ids():
-            lists[class_id] = ()
-        for iteration in range(self.max_iterations):
-            changed_classes = []
-            for eclass in list(egraph.classes()):
-                class_id = eclass.class_id
-                fresh = self._class_list(class_id, eclass)
-                if fresh != lists.get(class_id, ()):
-                    lists[class_id] = fresh
-                    changed_classes.append(class_id)
-            if not changed_classes:
-                return
-        raise FixpointDivergence("topk", self.max_iterations, changed_classes)
+        for class_id in self.egraph.class_ids():
+            self._lists[class_id] = ()
+        fixpoint_passes(self.egraph, self._visit, self.max_iterations, "topk")
+
+    def _visit(self, eclass) -> bool:
+        class_id = eclass.class_id
+        fresh = self._class_list(class_id, eclass)
+        if fresh == self._lists.get(class_id, ()):
+            return False
+        self._lists[class_id] = fresh
+        return True
 
     def _class_list(self, class_id: int, eclass) -> TupleT[_Entry, ...]:
         candidates: List[_Entry] = []

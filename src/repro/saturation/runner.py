@@ -790,8 +790,13 @@ class Runner:
             unions=unions,
         )
         if cost_model is not None and extract_each_step:
-            extractor = self.extractor_cls(self.egraph, cost_model)
-            result = extractor.extract(root_class)
+            # Sub-phase spans, like rebuild's: the cost fixpoint, reading
+            # the best term off it, and the provenance walk.
+            span = self.tracer.span
+            with span("extract.costs", cat=CAT_EXTRACT):
+                extractor = self.extractor_cls(self.egraph, cost_model)
+            with span("extract.term", cat=CAT_EXTRACT):
+                result = extractor.extract(root_class)
             record.best_term = result.term
             record.best_cost = result.cost
             if self.metrics.enabled:
@@ -805,10 +810,11 @@ class Runner:
                     help="cost of the most recent extracted solution",
                 )
             record.library_calls = library_calls_of(result.term)
-            if result.chosen:
-                events = contributing_events(self.egraph, result.chosen)
-                record.solution_rules = tuple(sorted(events))
-                if contributed is not None:
-                    for name, indices in events.items():
-                        contributed.setdefault(name, set()).update(indices)
+            with span("extract.provenance", cat=CAT_EXTRACT):
+                if result.chosen:
+                    events = contributing_events(self.egraph, result.chosen)
+                    record.solution_rules = tuple(sorted(events))
+                    if contributed is not None:
+                        for name, indices in events.items():
+                            contributed.setdefault(name, set()).update(indices)
         return record

@@ -216,6 +216,30 @@ def test_search_dedup_span_nests_in_search():
     assert len(dedups) >= len(searches)
 
 
+def test_extract_sub_phase_spans_nest_in_extract():
+    """Every ``extract`` span holds one ``extract.costs``,
+    ``extract.term`` and ``extract.provenance`` child, in that order,
+    and the step's recorded extract time is the parent span's."""
+    tracer = Tracer()
+    result = optimize(registry.get("dot"), make_target("blas"),
+                      trace=tracer, **LIMITS)
+    extracts = [e for e in tracer.events if e["name"] == "extract"]
+    assert len(extracts) == result.run.num_steps
+    subs = ("extract.costs", "extract.term", "extract.provenance")
+    for event, record in zip(extracts, result.steps[1:]):
+        end = event["ts"] + event["dur"]
+        inside = sorted(
+            (e for e in tracer.events
+             if e["name"].startswith("extract.")
+             and event["ts"] <= e["ts"] and e["ts"] + e["dur"] <= end),
+            key=lambda e: e["ts"],
+        )
+        assert tuple(e["name"] for e in inside) == subs
+        assert all(e["cat"] == "extract" for e in inside)
+        assert sum(e["dur"] for e in inside) <= event["dur"]
+        assert record.phases.extract == event["dur"]
+
+
 def test_rule_profile_phase_aggregation():
     from repro.saturation.telemetry import aggregate_phase_seconds
 

@@ -74,6 +74,11 @@ def test_folds_alternating_runs_into_one_workload_entry(tmp_path):
     assert (ops["matches_found"] >= ops["matches_admitted"] >= ops["matches_applied"]
             >= ops["effective_applications"])
     assert ops["effective_applications"] > 0 and ops["nodes_added"] > 0
+    # The same saturation's in-process phase split, next to its counts.
+    split = entry["phase_seconds"]["memset/blas@1"]
+    assert set(split) == set(bench.PHASES)
+    assert all(seconds >= 0.0 for seconds in split.values())
+    assert sum(split.values()) > 0.0
 
     # A second workload folds into the same file; differing hashes show.
     other = tmp_path / "other"
@@ -93,7 +98,7 @@ def test_served_mix_runs_have_no_pairs_or_signatures(tmp_path):
     assert entry["metrics"]["compile_s"]["pairs"] == 1
     assert "pair_seconds" not in entry
     assert entry["signatures"]["identical"] is None
-    assert entry["op_counts"] == {}
+    assert entry["op_counts"] == {} and entry["phase_seconds"] == {}
 
 
 def test_unpaired_runs_are_refused(tmp_path):

@@ -26,7 +26,10 @@ and this tool records, for the workload:
 * deterministic op counts from one in-process saturation per pair of
   the workload, on the checkout the tool runs from: matches found,
   admitted (the per-step ``matches`` summed), applied and effective,
-  unions and e-nodes added.
+  unions and e-nodes added;
+* the same saturation's phase split (``RunResult.total_phases()``:
+  search, apply, rebuild and extract seconds), which shows where a
+  change in ``compile_s`` comes from.
 
 Each invocation updates one workload's entry of ``--out`` (created if
 missing), so the three workloads fold into one file::
@@ -44,7 +47,7 @@ import re
 import statistics
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -54,6 +57,9 @@ from compile_workloads import reference  # noqa: E402
 #: RuleStats counters summed into the op counts.
 OP_FIELDS = ("matches_found", "matches_applied", "effective_applications",
              "unions", "nodes_added")
+
+#: PhaseTimings fields recorded as each pair's phase split.
+PHASES = ("search", "apply", "rebuild", "extract")
 
 SIDES = ("parent", "change")
 
@@ -126,21 +132,27 @@ def signatures(runs: Sequence[Mapping[str, Any]]) -> Dict[str, List[str]]:
     return {key: sorted(seen[key]) for key in sorted(seen)}
 
 
-def op_counts(pair_keys: Sequence[str]) -> Dict[str, Dict[str, int]]:
-    """One in-process saturation per pair; summed per-rule counters."""
+def in_process(pair_keys: Sequence[str]) -> Tuple[
+        Dict[str, Dict[str, int]], Dict[str, Dict[str, float]]]:
+    """One in-process saturation per pair: ``(op counts, phase split)``,
+    each keyed by pair (per-rule counters summed; phase seconds)."""
     from repro.api import Limits, Session
 
-    out: Dict[str, Dict[str, int]] = {}
+    counts: Dict[str, Dict[str, int]] = {}
+    phases: Dict[str, Dict[str, float]] = {}
     for key in pair_keys:
         kernel, target, steps = parse_pair(key)
         result = Session(Limits(step_limit=steps, time_limit=1e9)).optimize(
             kernel, target)
         stats = result.run.rule_stats.values()
-        counts = {name: sum(getattr(s, name) for s in stats) for name in OP_FIELDS}
-        counts["matches_admitted"] = sum(step.matches for step in result.run.steps)
-        counts["enodes"] = result.final.enodes
-        out[key] = counts
-    return out
+        counts[key] = {name: sum(getattr(s, name) for s in stats)
+                       for name in OP_FIELDS}
+        counts[key]["matches_admitted"] = sum(
+            step.matches for step in result.run.steps)
+        counts[key]["enodes"] = result.final.enodes
+        split = result.run.total_phases()
+        phases[key] = {name: getattr(split, name) for name in PHASES}
+    return counts, phases
 
 
 def fold(directory: Path) -> Dict[str, Any]:
@@ -175,7 +187,7 @@ def fold(directory: Path) -> Dict[str, Any]:
         "identical": (parent_sigs == change_sigs
                       if parent_sigs or change_sigs else None),
     }
-    entry["op_counts"] = op_counts(
+    entry["op_counts"], entry["phase_seconds"] = in_process(
         sorted(side_runs["change"][0]["details"].get("pairs") or {}))
     return entry
 
