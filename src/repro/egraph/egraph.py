@@ -12,9 +12,10 @@ Extras needed by LIAR:
 * ``add_term`` / ``extract_smallest`` to move between terms and
   classes — rule application in LIAR extracts terms to run the De
   Bruijn ``shift``/``subst`` operators on them (§IV-B3, approach 2);
-  ``add_subst`` inserts ``subst(e, y)`` without building it.  Both
-  memoize subterm classes by term identity, so a term spliced into
-  many right-hand sides is walked once.  The memos hold while every
+  ``add_subst`` inserts ``subst(e, y)`` and ``add_shift`` inserts
+  ``shift(e, 1)`` without building them.  All three memoize subterm
+  classes by term identity, so a term spliced into many right-hand
+  sides is walked once.  The memos hold while every
   child id of the e-nodes their walks built stays a union-find root
   (then a fresh walk would build the same hashcons keys): a merge drops
   them only when its loser is such a child id, and ``rebuild`` always;
@@ -186,7 +187,9 @@ class EGraph:
         self._subst_memo: Dict[
             TupleT[int, int], TupleT[Term, Optional[Term], int]
         ] = {}
-        # Child ids of every e-node the two memos' walks built; all are
+        # {(id(term), cutoff): (term, class id)}; see add_shift.
+        self._shift_memo: Dict[TupleT[int, int], TupleT[Term, int]] = {}
+        # Child ids of every e-node the memos' walks built; all are
         # union-find roots while the memos hold (see merge).
         self._memo_children: Set[int] = set()
         # Bumped only by rebuild(); the smallest-term table caches off
@@ -282,6 +285,7 @@ class EGraph:
     def _insert(self, enode: ENode) -> int:
         """Create a class for ``enode``, which must be canonical and
         absent from the hashcons."""
+        op, payload, children = enode
         class_id = self._uf.make_set()
         eclass = EClass(class_id)
         eclass.nodes[enode] = None
@@ -290,11 +294,12 @@ class EGraph:
         slot = len(self._slot_form)
         self._slot_form.append(enode)
         self._slot_class.append(class_id)
-        for child in enode.children:
-            self._classes[child].parents.append(slot)
-        if enode.op in ("build", "ifold"):
-            self.known_sizes.add(enode.payload)  # type: ignore[arg-type]
-        leaf = self._leaf_classes.get(enode.op)
+        classes = self._classes
+        for child in children:
+            classes[child].parents.append(slot)
+        if op == "build" or op == "ifold":
+            self.known_sizes.add(payload)  # type: ignore[arg-type]
+        leaf = self._leaf_classes.get(op)
         if leaf is not None:
             leaf.add(class_id)
         if self._analysis is not None:
@@ -408,11 +413,50 @@ class EGraph:
         memo[key] = (term, value if used else None, class_id)
         return class_id, used
 
+    def add_shift(self, term: Term) -> int:
+        """``add_term(shift(term, 1))`` without building the shifted
+        term: ``R-INTROLAMBDA``'s ``e↑`` inserted straight into class
+        ids.
+
+        The walk mirrors ``shift`` and ``add_term``'s post-order: a
+        ``Var`` at or above the cutoff (the number of ``Lam`` binders
+        passed) gets its index raised by one, and every node is one
+        hashcons probe or insert over its children's ids.  So it inserts
+        the same e-nodes in the same order.  Every subterm but a variable
+        has its class memoized by ``(id(term), cutoff)`` under the same
+        rule as the :meth:`add_term` memo: the rule applies a body once
+        per candidate argument, and every application after the first
+        costs one probe.
+        """
+        return self._add_shift(term, 0)
+
+    def _add_shift(self, term: Term, cutoff: int) -> int:
+        if isinstance(term, Var):
+            index = term.index
+            return self.add_canonical(
+                ENode("var", index + 1 if index >= cutoff else index, ())
+            )
+        memo = self._shift_memo
+        key = (id(term), cutoff)
+        hit = memo.get(key)
+        if hit is not None and hit[0] is term:
+            return self._uf.find(hit[1])
+        op, payload, child_terms = term_to_parts(term)
+        inner = cutoff + 1 if op == "lam" else cutoff
+        children = tuple([self._add_shift(c, inner) for c in child_terms])
+        if children:
+            self._memo_children.update(children)
+        class_id = self.add_canonical(ENode(op, payload, children))
+        memo[key] = (term, class_id)
+        return class_id
+
     def drop_term_memo(self) -> None:
-        """Release the :meth:`add_term` and :meth:`add_subst` memos (the
-        runner calls this when an apply phase ends)."""
+        """Release the :meth:`add_term`, :meth:`add_subst` and
+        :meth:`add_shift` memos (the runner calls this when an apply
+        phase ends)."""
         self._term_memo = {}
         self._subst_memo = {}
+        self._shift_memo = {}
         self._memo_children = set()
 
     # ------------------------------------------------------------------
@@ -506,15 +550,18 @@ class EGraph:
         # other parents must not be clobbered.
         eclass.parents = []
         slot_form, slot_class = self._slot_form, self._slot_class
-        # Pass 1: refresh the hashcons for every parent slot.
+        find, memo = self._uf.find, self._memo
+        # Pass 1: refresh the hashcons for every parent slot (a parent
+        # form always has children).
         for slot in old_parents:
             current = slot_form[slot]
-            self._memo.pop(current, None)
-            canonical = self.canonicalize(current)
-            refreshed = self._uf.find(slot_class[slot])
+            memo.pop(current, None)
+            op, payload, children = current
+            canonical = ENode(op, payload, tuple([find(c) for c in children]))
+            refreshed = find(slot_class[slot])
             slot_form[slot] = canonical
             slot_class[slot] = refreshed
-            self._memo[canonical] = refreshed
+            memo[canonical] = refreshed
         # Pass 2: merge classes of parents that became congruent; the
         # first slot per canonical form survives as the parent entry.
         # Dropped duplicates stay congruent to the keeper forever (their
@@ -531,16 +578,14 @@ class EGraph:
                     unions += 1
                 continue
             new_parents[canonical] = slot
-        survivor = self._classes.get(self._uf.find(class_id))
+        survivor = self._classes.get(find(class_id))
         if survivor is not None:
             survivor.parents.extend(new_parents.values())
-            survivor.nodes = {
-                self.canonicalize(node): None for node in survivor.nodes
-            }
+            survivor.nodes = {node.map_children(find): None for node in survivor.nodes}
             for slot in new_parents.values():
-                refreshed = self._uf.find(slot_class[slot])
+                refreshed = find(slot_class[slot])
                 slot_class[slot] = refreshed
-                self._memo[slot_form[slot]] = refreshed
+                memo[slot_form[slot]] = refreshed
         return unions
 
     def _propagate_analysis(self) -> None:
@@ -578,12 +623,14 @@ class EGraph:
     def _size_table(self) -> Dict[int, TupleT[int, ENode]]:
         """Smallest-term size and witness e-node per class (fixpoint).
 
-        Cached per :attr:`version`.
+        Cached per :attr:`generation`: rule appliers inside one
+        saturation step share one table (see ``generation``).
         """
         cached = getattr(self, "_size_cache", None)
         if cached is not None and cached[0] == self.generation:
             return cached[1]
         table: Dict[int, TupleT[int, ENode]] = {}
+        find = self._uf.find
         changed = True
         while changed:
             changed = False
@@ -592,8 +639,8 @@ class EGraph:
                 for node in eclass.nodes:
                     size = 1
                     ok = True
-                    for child in node.children:
-                        entry = table.get(self._uf.find(child))
+                    for child in node[2]:
+                        entry = table.get(find(child))
                         if entry is None:
                             ok = False
                             break

@@ -1,7 +1,7 @@
 """E-node representation and term ⇄ e-node conversion helpers.
 
 An e-node is an operator applied to e-class ids.  We represent it as a
-frozen dataclass ``ENode(op, payload, children)`` where:
+named tuple ``ENode(op, payload, children)`` where:
 
 * ``op`` is a short operator tag (``"lam"``, ``"app"``, ``"build"``,
   ``"index"``, ``"ifold"``, ``"tuple"``, ``"fst"``, ``"snd"``,
@@ -28,12 +28,16 @@ Term                  op      payload             children
 ``Const(v)``          const   ``v``               —
 ``Symbol(name)``      symbol  ``name``            —
 ====================  ======  ==================  ==================
+
+Being a tuple, an e-node is built, hashed and compared in C: it is the
+hashcons key that every insertion probes.  Hot loops read its fields by
+position (``node[0]`` is ``op``, ``node[1]`` ``payload``, ``node[2]``
+``children``), which is cheaper than a named-field read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple as TupleT
+from typing import Any, Callable, Dict, NamedTuple, Tuple as TupleT
 
 from ..ir.terms import (
     App,
@@ -56,8 +60,7 @@ __all__ = ["ENode", "term_to_parts", "enode_to_term_shallow", "LEAF_OPS"]
 LEAF_OPS = frozenset({"var", "const", "symbol"})
 
 
-@dataclass(frozen=True, slots=True)
-class ENode:
+class ENode(NamedTuple):
     """An operator over e-class ids.  Hashable; used as the hashcons key."""
 
     op: str
@@ -66,9 +69,10 @@ class ENode:
 
     def map_children(self, fn: Callable[[int], int]) -> "ENode":
         """Return a copy with every child id passed through ``fn``."""
-        if not self.children:
+        op, payload, children = self
+        if not children:
             return self
-        return ENode(self.op, self.payload, tuple(fn(c) for c in self.children))
+        return ENode(op, payload, tuple([fn(c) for c in children]))
 
 
 #: Term type -> its ``(op, payload, child_terms)`` decomposition.

@@ -10,7 +10,9 @@ occurrence of a term-mode variable (over the class's candidate terms)
 binds or checks a variable, and in which mode, is decided at compile
 time from the occurrence's position in the depth-first, left-to-right
 walk the matching order follows, so the generated code does no
-bindings-dict lookups, copies or pattern dispatch at run time.
+bindings-dict lookups, copies or pattern dispatch at run time.  It
+reads an e-node's fields by position (``n[0]`` op, ``n[1]`` payload,
+``n[2]`` children), the cheapest read of an :class:`~.enode.ENode`.
 
 The program yields one flat *key* per match, in the order a
 backtracking interpreter over the same pattern would find the matches:
@@ -212,32 +214,32 @@ class _Compiler:
         arity = len(pattern.children)
         node_var = self.fresh("n", defined=False)
         self.open_loop(node_var, f"{self.use('nodes_of')}({class_var})")
-        self.line(f"if {node_var}.op != {op!r}: {self.fail()}")
+        self.line(f"if {node_var}[0] != {op!r}: {self.fail()}")
         if _ARITY.get(op, -1) != arity:
-            self.line(f"if len({node_var}.children) != {arity}: {self.fail()}")
+            self.line(f"if len({node_var}[2]) != {arity}: {self.fail()}")
         payload = pattern.payload
         if op in _SIZED and isinstance(payload, SizeVar):
             self.size(payload, node_var)
         elif not (payload is None and op in _NO_PAYLOAD):
             self.line(
-                f"if {node_var}.payload != {self.constant(payload)}: {self.fail()}"
+                f"if {node_var}[1] != {self.constant(payload)}: {self.fail()}"
             )
         for index, child in enumerate(pattern.children):
             child_var = self.fresh("c")
-            self.line(f"{child_var} = {self.use('find')}({node_var}.children[{index}])")
+            self.line(f"{child_var} = {self.use('find')}({node_var}[2][{index}])")
             self.match(child, child_var)
 
     def size(self, var: SizeVar, node_var: str) -> None:
         slot = self.slots.get(var.name)
         if slot is None:
             local = self.fresh("z")
-            self.line(f"{local} = {node_var}.payload")
+            self.line(f"{local} = {node_var}[1]")
             self.slots[var.name] = ("size", local)
             self.order.append(var.name)
         elif slot[0] != "size":
             raise _Dead  # a name bound as both a variable and a size
         else:
-            self.line(f"if {node_var}.payload != {slot[1]}: {self.fail()}")
+            self.line(f"if {node_var}[1] != {slot[1]}: {self.fail()}")
 
     def variable(self, var: PVar, class_var: str) -> None:
         term_mode = var.shift != 0 or var.as_term

@@ -11,7 +11,10 @@ matched class.  Three applier flavours cover everything in the paper:
   straight into class ids (:func:`~repro.egraph.pattern.add_instance`),
   as egg's pattern appliers do, without building a term.
 * **Function appliers** — compute the results in Python: terms to
-  insert, or ids of classes the applier inserted itself.
+  insert, or ids of classes the applier inserted itself.  An applier
+  may be a generator: :meth:`Rule.apply` unions each result with the
+  matched class before it asks for the next, and re-finds every id it
+  is given, so a generator re-finds the ids it inserts over too.
   ``R-BETAREDUCE``'s RHS applies the expression-level ``subst``
   operator to terms extracted from e-classes (§IV-B3, approach 2); its
   applier inserts ``subst(e, y)`` straight into class ids
@@ -23,17 +26,23 @@ matched class.  Three applier flavours cover everything in the paper:
   The paper instantiates such variables with *every* e-class; this
   implementation makes the candidate set a pluggable
   :class:`CandidateStrategy` because exhaustive enumeration is
-  intractable at Python speed (see DESIGN.md §3.4).
+  intractable at Python speed (see DESIGN.md §3.4).  These appliers
+  also insert straight into class ids: each is a generator that takes
+  its candidates once, then yields one class per candidate, built e-node
+  by e-node with :meth:`~repro.egraph.egraph.EGraph.add_canonical` (and
+  ``e↑`` with :meth:`~repro.egraph.egraph.EGraph.add_shift`), the
+  e-nodes ``add_term`` would insert for the right-hand-side term, in
+  its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple as TupleT, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Union
 
-from ..ir.debruijn import shift as shift_term
-from ..ir.terms import App, Index, Lam, Term, Build, Fst, Snd, Tuple as TupleTerm
-from .egraph import ClassRef, EGraph
+from ..ir.terms import Term
+from .egraph import EGraph
+from .enode import ENode
 from .matcher import CompiledPattern, compile_pattern
 from .pattern import (
     Bindings,
@@ -75,7 +84,9 @@ class Match:
 
 
 #: An applier's results: terms to insert, or class ids already inserted.
-ApplierFn = Callable[[EGraph, Match], Sequence[Union[Term, int]]]
+#: A generator applier runs interleaved with the unions of its results,
+#: so it must ``find`` the ids it inserts over when it inserts.
+ApplierFn = Callable[[EGraph, Match], Iterable[Union[Term, int]]]
 
 
 @dataclass
@@ -253,8 +264,10 @@ def intro_lambda_rule(
     """``R-INTROLAMBDA``: ``e → (λ e↑) y`` for candidate argument
     classes ``y``.
 
-    ``e`` must be extracted to run the shift operator on it; ``y``
-    stays an e-class reference.
+    ``e`` is bound as an extracted term, whose shift ``e↑`` goes
+    straight into class ids (:meth:`EGraph.add_shift`, memoized, so
+    every candidate after the first costs one probe); ``y`` stays an
+    e-class reference.
 
     With ``data_shaped_only`` (default) the rule only fires on classes
     whose shape analysis says scalar or array: abstracting over
@@ -265,18 +278,18 @@ def intro_lambda_rule(
 
     lhs = PVar("e", as_term=True)
 
-    def apply(egraph: EGraph, match: Match) -> Sequence[Term]:
+    def apply(egraph: EGraph, match: Match) -> Iterator[int]:
         if data_shaped_only:
             data = egraph.data_of(match.class_id)
             if not isinstance(data, (Scalar, Array)):
-                return []
+                return
         binding = match.bindings["e"]
         assert isinstance(binding, TermBinding)
-        shifted = shift_term(binding.term, 1)
-        results: List[Term] = []
+        body = binding.term
+        find, add = egraph.find, egraph.add_canonical
         for y_class in candidates(egraph)[:max_candidates]:
-            results.append(App(Lam(shifted), ClassRef(egraph.find(y_class))))
-        return results
+            lam = add(ENode("lam", None, (egraph.add_shift(body),)))
+            yield add(ENode("app", None, (lam, find(y_class))))
 
     def context(egraph: EGraph) -> object:
         return len(candidates(egraph))
@@ -300,16 +313,14 @@ def intro_index_build_rule(max_sizes: int = 16) -> Rule:
     """
     lhs = PNode("app", None, (PVar("f"), PVar("i")))
 
-    def apply(egraph: EGraph, match: Match) -> Sequence[Term]:
+    def apply(egraph: EGraph, match: Match) -> Iterator[int]:
         fn = match.bindings["f"]
         index = match.bindings["i"]
         assert isinstance(fn, ClassBinding) and isinstance(index, ClassBinding)
-        results: List[Term] = []
+        find, add = egraph.find, egraph.add_canonical
         for size in sorted(egraph.known_sizes)[:max_sizes]:
-            results.append(
-                Index(Build(size, ClassRef(fn.class_id)), ClassRef(index.class_id))
-            )
-        return results
+            build = add(ENode("build", size, (find(fn.class_id),)))
+            yield add(ENode("index", None, (build, find(index.class_id))))
 
     def context(egraph: EGraph) -> object:
         return frozenset(egraph.known_sizes)
@@ -326,15 +337,13 @@ def intro_fst_tuple_rule(
     """``R-INTROFSTTUPLE``: ``a → fst (tuple a b)`` for candidate ``b``."""
     lhs = PVar("a")
 
-    def apply(egraph: EGraph, match: Match) -> Sequence[Term]:
+    def apply(egraph: EGraph, match: Match) -> Iterator[int]:
         binding = match.bindings["a"]
         assert isinstance(binding, ClassBinding)
-        results: List[Term] = []
+        find, add = egraph.find, egraph.add_canonical
         for b_class in candidates(egraph)[:max_candidates]:
-            results.append(
-                Fst(TupleTerm(ClassRef(binding.class_id), ClassRef(egraph.find(b_class))))
-            )
-        return results
+            pair = add(ENode("tuple", None, (find(binding.class_id), find(b_class))))
+            yield add(ENode("fst", None, (pair,)))
 
     rule = dynamic_rule("R-IntroFstTuple", lhs, apply)
     rule.context_key = lambda egraph: len(candidates(egraph))
@@ -348,15 +357,13 @@ def intro_snd_tuple_rule(
     """``R-INTROSNDTUPLE``: ``b → snd (tuple a b)`` for candidate ``a``."""
     lhs = PVar("b")
 
-    def apply(egraph: EGraph, match: Match) -> Sequence[Term]:
+    def apply(egraph: EGraph, match: Match) -> Iterator[int]:
         binding = match.bindings["b"]
         assert isinstance(binding, ClassBinding)
-        results: List[Term] = []
+        find, add = egraph.find, egraph.add_canonical
         for a_class in candidates(egraph)[:max_candidates]:
-            results.append(
-                Snd(TupleTerm(ClassRef(egraph.find(a_class)), ClassRef(binding.class_id)))
-            )
-        return results
+            pair = add(ENode("tuple", None, (find(a_class), find(binding.class_id))))
+            yield add(ENode("snd", None, (pair,)))
 
     rule = dynamic_rule("R-IntroSndTuple", lhs, apply)
     rule.context_key = lambda egraph: len(candidates(egraph))

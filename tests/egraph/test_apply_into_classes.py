@@ -1,15 +1,17 @@
-"""Pattern rules and ``R-BETAREDUCE`` apply straight into class ids,
-and ``add_term`` memoizes subterms by identity across the merges that
-leave its e-nodes' children roots.
+"""Pattern rules, ``R-BETAREDUCE`` and the four enumerating intro rules
+apply straight into class ids, and ``add_term`` memoizes subterms by
+identity across the merges that leave its e-nodes' children roots.
 
 All of it must be invisible: :func:`add_instance` (what ``Rule.apply``
-runs for a pattern rule) and :meth:`EGraph.add_subst` (what the
-beta-reduction applier runs) have to insert exactly the e-nodes,
-classes and union-origin events that ``add_term(instantiate(...))`` and
-``add_term(subst(...))`` insert, in the same order, over any e-graph
-and any interleaving of merges and rebuilds.  The reference runs on a
-deep copy of the graph, whose memo cannot answer for the original's
-term objects.
+runs for a pattern rule), :meth:`EGraph.add_subst` (what the
+beta-reduction applier runs), :meth:`EGraph.add_shift` and the intro
+appliers have to insert exactly the e-nodes, classes and union-origin
+events that ``add_term`` of the terms they stand for inserts
+(``instantiate(...)``, ``subst(...)``, ``shift(...)``, and the terms
+the intro appliers built before they inserted into class ids), in the
+same order, over any e-graph and any interleaving of merges and
+rebuilds.  The reference runs on a deep copy of the graph, whose memo
+cannot answer for the original's term objects.
 """
 
 import copy
@@ -29,9 +31,34 @@ from repro.egraph.pattern import (
     instantiate,
     rhs_requirements,
 )
-from repro.egraph.rewrite import Match, rewrite
-from repro.ir.debruijn import subst
-from repro.ir.terms import Build, Call, Const, Lam, Symbol, Var
+from repro.egraph.egraph import ClassRef
+from repro.egraph.rewrite import (
+    Match,
+    all_classes,
+    const_classes,
+    dynamic_rule,
+    intro_fst_tuple_rule,
+    intro_index_build_rule,
+    intro_lambda_rule,
+    intro_snd_tuple_rule,
+    rewrite,
+    var_classes,
+)
+from repro.ir.debruijn import shift, subst
+from repro.ir.terms import (
+    App,
+    Build,
+    Call,
+    Const,
+    Fst,
+    IFold,
+    Index,
+    Lam,
+    Snd,
+    Symbol,
+    Tuple,
+    Var,
+)
 
 #: Right-hand sides covering every variable kind: class-bound, term-
 #: bound, shifted, ``as_term`` and size variables.
@@ -217,6 +244,227 @@ def test_add_subst_matches_add_term_of_subst(seed_terms, bodies, values, ops):
         egraph.merge(got, other)
         reference.merge(want, other)
         assert _state(egraph) == _state(reference)
+
+
+# ---------------------------------------------------------------------------
+# The enumerating intro rules
+# ---------------------------------------------------------------------------
+
+# The appliers as they were before they inserted into class ids: the
+# right-hand-side terms, with ClassRef leaves, that Rule.apply passes to
+# add_term one by one.  The reference for the generator appliers.
+
+
+def _old_intro_lambda(candidates, max_candidates):
+    def apply(egraph, match):
+        shifted = shift(match.bindings["e"].term, 1)
+        return [App(Lam(shifted), ClassRef(egraph.find(y)))
+                for y in candidates(egraph)[:max_candidates]]
+    return apply
+
+
+def _old_intro_index_build(max_sizes):
+    def apply(egraph, match):
+        fn, index = match.bindings["f"], match.bindings["i"]
+        return [Index(Build(size, ClassRef(fn.class_id)), ClassRef(index.class_id))
+                for size in sorted(egraph.known_sizes)[:max_sizes]]
+    return apply
+
+
+def _old_intro_fst_tuple(candidates, max_candidates):
+    def apply(egraph, match):
+        a = match.bindings["a"]
+        return [Fst(Tuple(ClassRef(a.class_id), ClassRef(egraph.find(b))))
+                for b in candidates(egraph)[:max_candidates]]
+    return apply
+
+
+def _old_intro_snd_tuple(candidates, max_candidates):
+    def apply(egraph, match):
+        b = match.bindings["b"]
+        return [Snd(Tuple(ClassRef(egraph.find(a)), ClassRef(b.class_id)))
+                for a in candidates(egraph)[:max_candidates]]
+    return apply
+
+
+#: (rule, its old applier, the binding kinds of its match) per intro
+#: rule and candidate strategy: var/const classes are what the rule
+#: sets use; every class (capped low) makes the match's own class and
+#: its parents candidates, whose merges between yields then matter.
+INTRO = [
+    (intro_lambda_rule(var_classes, 64, data_shaped_only=False),
+     _old_intro_lambda(var_classes, 64), {"e": "term"}),
+    (intro_lambda_rule(all_classes, 5, data_shaped_only=False),
+     _old_intro_lambda(all_classes, 5), {"e": "term"}),
+    (intro_index_build_rule(16), _old_intro_index_build(16),
+     {"f": "class", "i": "class"}),
+    (intro_index_build_rule(1), _old_intro_index_build(1),
+     {"f": "class", "i": "class"}),
+    (intro_fst_tuple_rule(const_classes, 16), _old_intro_fst_tuple(const_classes, 16),
+     {"a": "class"}),
+    (intro_fst_tuple_rule(all_classes, 4), _old_intro_fst_tuple(all_classes, 4),
+     {"a": "class"}),
+    (intro_snd_tuple_rule(const_classes, 16), _old_intro_snd_tuple(const_classes, 16),
+     {"b": "class"}),
+    (intro_snd_tuple_rule(all_classes, 4), _old_intro_snd_tuple(all_classes, 4),
+     {"b": "class"}),
+]
+
+# Bodies for e↑: free indices 0-3 under nested binders and the sized
+# operators, whose payloads shift must leave alone.
+_shift_bodies = st.recursive(
+    st.one_of(
+        st.sampled_from([Symbol("a"), Symbol("b"), Const(0), Const(1)]),
+        st.integers(min_value=0, max_value=3).map(Var),
+    ),
+    lambda inner: st.one_of(
+        inner.map(Lam),
+        inner.map(lambda body: Build(4, Lam(body))),
+        st.tuples(inner, inner).map(lambda parts: IFold(2, parts[0], Lam(Lam(parts[1])))),
+        st.tuples(inner, inner).map(lambda parts: App(*parts)),
+        st.tuples(st.sampled_from(["f", "h"]), inner, inner).map(
+            lambda parts: Call(parts[0], (parts[1], parts[2]))
+        ),
+    ),
+    max_leaves=8,
+)
+
+_seed_terms = st.lists(
+    st.one_of(_terms, _shift_bodies), min_size=1, max_size=5
+).map(lambda terms: terms + [Build(4, Lam(Var(0))), IFold(2, Const(0), Lam(Lam(Var(0))))])
+
+# ("apply", rule index, binding picks, body pick), ("merge", a, b),
+# ("rebuild",).  Class bindings pick among every id ever made, so a
+# match may carry ids a merge has made stale since its search.
+_intro_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("apply"),
+            st.integers(0, len(INTRO) - 1),
+            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            st.integers(0, 10**6),
+        ),
+        st.tuples(st.just("merge"), st.integers(0, 10**6), st.integers(0, 10**6)),
+        st.tuples(st.just("rebuild")),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def _store(egraph):
+    """Every e-node in insertion order with its class, plus _state."""
+    return (list(egraph._slot_form), [egraph.find(c) for c in egraph._slot_class],
+            _state(egraph))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed_terms=_seed_terms,
+       bodies=st.lists(_shift_bodies, min_size=1, max_size=3),
+       ops=_intro_ops)
+def test_intro_appliers_match_add_term_of_the_old_terms(seed_terms, bodies, ops):
+    egraph = EGraph()
+    for term in seed_terms:
+        egraph.add_term(term)
+    for op in ops:
+        if op[0] == "merge":
+            ids = egraph.class_ids()
+            egraph.merge(ids[op[1] % len(ids)], ids[op[2] % len(ids)])
+            continue
+        if op[0] == "rebuild":
+            egraph.rebuild()
+            continue
+        _, rule_index, picks, body_index = op
+        rule, old_applier, kinds = INTRO[rule_index]
+        bindings = {}
+        for pick, (name, kind) in zip(picks, kinds.items()):
+            if kind == "term":
+                # Shared objects: the shift memo sees bodies again.
+                bindings[name] = TermBinding(bodies[body_index % len(bodies)])
+            else:
+                bindings[name] = ClassBinding(pick % len(egraph._uf))
+        match = Match(egraph.find(picks[0] % len(egraph._uf)), bindings)
+        reference = copy.deepcopy(egraph)
+        reference.drop_term_memo()
+        oracle = dynamic_rule(rule.name, rule.searcher, old_applier)
+        egraph.origin_tag = reference.origin_tag = rule.name
+        # Rule.apply merges every result into the matched class before
+        # the generator inserts the next one.
+        got = rule.apply(egraph, match)
+        want = oracle.apply(reference, match)
+        egraph.origin_tag = reference.origin_tag = None
+        assert got == want
+        assert _store(egraph) == _store(reference)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed_terms=st.lists(_terms, min_size=1, max_size=5),
+       bodies=st.lists(_shift_bodies, min_size=1, max_size=4),
+       ops=_subst_ops)
+def test_add_shift_matches_add_term_of_shift(seed_terms, bodies, ops):
+    egraph = EGraph()
+    for term in seed_terms:
+        egraph.add_term(term)
+    egraph.origin_tag = "R-IntroLambda"
+    for op in ops:
+        if op[0] == "merge":
+            ids = egraph.class_ids()
+            egraph.merge(ids[op[1] % len(ids)], ids[op[2] % len(ids)])
+            continue
+        if op[0] == "rebuild":
+            egraph.rebuild()
+            continue
+        _, body_index, target = op
+        body = bodies[body_index % len(bodies)]
+        reference = copy.deepcopy(egraph)
+        reference.drop_term_memo()
+        # Twice: the second call is answered by the memo.
+        for _ in range(2):
+            want = reference.add_term(shift(body, 1))
+            got = egraph.add_shift(body)
+            assert got == want
+            assert _store(egraph) == _store(reference)
+        ids = egraph.class_ids()
+        other = ids[target % len(ids)]
+        egraph.merge(got, other)
+        reference.merge(want, other)
+        assert _state(egraph) == _state(reference)
+
+
+def test_shift_memo_checks_identity_not_equality():
+    egraph = EGraph()
+    body = Call("f", (Lam(Var(1)), Var(0)))
+    first = egraph.add_shift(body)
+    assert egraph._shift_memo[(id(body), 0)][0] is body
+    entries = len(egraph._shift_memo)
+    assert egraph.add_shift(body) == first
+    assert len(egraph._shift_memo) == entries
+    # An equal body that is another object misses the memo: its walk
+    # stores entries of its own, and the hashcons answers the same class.
+    equal = Call("f", (Lam(Var(1)), Var(0)))
+    assert equal == body and equal is not body
+    assert egraph.add_shift(equal) == first
+    assert egraph._shift_memo[(id(equal), 0)][0] is equal
+    assert len(egraph._shift_memo) > entries
+    assert egraph.num_nodes == 4  # shift(body, 1) = f(λ •2, •1)
+
+
+def test_shift_memo_dropped_with_the_others():
+    egraph = EGraph()
+    body = Call("f", (Symbol("a"), Var(0)))
+    egraph.add_shift(body)
+    assert egraph._shift_memo
+    # The memoized f(a, •1) node's child ``a`` loses a merge.
+    a = egraph.add_term(Symbol("a"))
+    d = egraph.add_term(Symbol("d"))
+    assert egraph.merge(d, a) == d
+    assert egraph._shift_memo == {}
+    egraph.add_shift(body)
+    assert egraph._shift_memo
+    egraph.rebuild()
+    assert egraph._shift_memo == {}
 
 
 def test_memo_dropped_when_the_loser_is_a_memoized_child():

@@ -42,6 +42,50 @@ class TestAddAndHashcons:
         assert eg.known_sizes == {4, 8}
 
 
+class TestENodeContract:
+    """An e-node is a named tuple: hashed, compared and built in C, and
+    read by position in the matcher's generated code."""
+
+    def test_hash_is_the_tuple_hash(self):
+        for op, payload, children in [("app", None, (1, 2)), ("var", 3, ()),
+                                      ("call", "+", (0, 0, 5))]:
+            assert hash(ENode(op, payload, children)) == hash((op, payload, children))
+
+    def test_fields_are_read_only(self):
+        node = ENode("lam", None, (4,))
+        for name in ("op", "payload", "children"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+
+    def test_repr(self):
+        assert repr(ENode("app", None, (1, 2))) == "ENode(op='app', payload=None, children=(1, 2))"
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        node = ENode("build", 4, (7,))
+        copy = pickle.loads(pickle.dumps(node))
+        assert copy == node and type(copy) is ENode
+        assert (copy.op, copy.payload, copy.children) == ("build", 4, (7,))
+
+    def test_map_children(self):
+        leaf = ENode("const", 1, ())
+        assert leaf.map_children(lambda c: c + 1) is leaf
+        assert ENode("app", None, (1, 2)).map_children(lambda c: c * 10) == ENode(
+            "app", None, (10, 20))
+
+    def test_program_source_reads_fields_by_position(self):
+        from repro.egraph.matcher import program_source
+        from repro.egraph.pattern import PNode, PVar, SizeVar
+
+        pattern = PNode("build", SizeVar("N"), (PNode("call", "f", (PVar("x"),)),))
+        source = program_source(pattern)[0]
+        assert "[0] != 'build'" in source and "[0] != 'call'" in source
+        assert "[1] != K0" in source and "[2][0]" in source
+        for name in (".op", ".payload", ".children"):
+            assert name not in source
+
+
 class TestMergeAndRebuild:
     def test_merge_makes_equivalent(self):
         eg = EGraph()
