@@ -296,7 +296,7 @@ def _write_rule_profile(path: Path, limits, reports) -> None:
     Schema (``repro-rule-profile/1``): ``limits`` echoes the resolved
     budget; ``runs`` has one entry per (kernel, target) run with its
     ``rule_stats`` (name → search_seconds / searches / matches_found /
-    matches_applied / unions / apply_seconds / nodes_added /
+    rediscovered / matches_applied / unions / apply_seconds / nodes_added /
     effective_applications / bans / banned_steps / solution_unions) and
     ``phase_seconds`` (search / apply / rebuild / extract totals);
     ``aggregate`` sums ``rule_stats`` across all runs and

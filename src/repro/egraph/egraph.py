@@ -28,12 +28,15 @@ Extras needed by LIAR:
   a ``var`` or ``const`` e-node, maintained by ``add_enode``/``merge``,
   from which the intro rules draw their free right-hand-side variables
   (§IV-B4) without rescanning every class;
-* a candidate memo: ``extract_candidates`` results, their unshifted
+* a search memo: ``extract_candidates`` results, their unshifted
   forms per shift (``unshifted_candidates``, the bindings of ``A↑k``
-  pattern variables) and the smallest terms their walks built are
-  cached under the graph's ``(version, generation)``, so all rules of
-  one search phase (which never mutates the graph) share them; the
-  saturation runner drops the memo when the phase ends.
+  pattern variables), the smallest terms their walks built and each
+  class's e-nodes grouped by operator are cached under the graph's
+  ``(version, generation)``, so all rules of one search phase (which
+  never mutates the graph) share them; the saturation runner drops
+  the memo when the phase ends.  :meth:`EGraph.match_view` hands the
+  memo, with the union-find's parent list and ``find``, to compiled
+  e-matching programs (:class:`MatchView`).
 
 Storage layout — the slotted store:
 
@@ -62,6 +65,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple as TupleT,
@@ -72,10 +76,18 @@ from ..ir.terms import Term, Var
 from .enode import ENode, enode_to_term_shallow, term_to_parts
 from .unionfind import UnionFind
 
-__all__ = ["EGraph", "EClass", "ClassRef", "Analysis", "INDEXED_LEAF_OPS"]
+__all__ = [
+    "EGraph", "EClass", "ClassRef", "Analysis", "MatchView", "CANDIDATE_LIMIT",
+    "INDEXED_LEAF_OPS",
+]
 
 #: Leaf operators whose classes :meth:`EGraph.leaf_classes` indexes.
 INDEXED_LEAF_OPS = ("var", "const")
+
+#: How many candidate terms :meth:`EGraph.extract_candidates` returns
+#: by default, and so the ``limit`` of every candidate-memo key a
+#: compiled e-matching program reads.
+CANDIDATE_LIMIT = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,6 +141,46 @@ class EClass:
     data: object = None
 
 
+#: A class's e-nodes grouped by operator, each group in insertion order.
+OpGroups = Dict[str, List[ENode]]
+
+#: The candidate memo: ``(class, limit, shift)`` to
+#: ``unshifted_candidates(class, shift, limit)``.
+CandidateMemo = Dict[TupleT[int, int, int], List[Term]]
+
+#: ``((version, generation), candidate memo, {class: smallest term or
+#: None}, {class: op groups})``; see :meth:`EGraph._search_memo`.
+_SearchMemo = TupleT[
+    TupleT[int, int], CandidateMemo, Dict[int, Optional[Term]], Dict[int, OpGroups]
+]
+
+
+class MatchView(NamedTuple):
+    """What a compiled e-matching program reads
+    (:mod:`repro.egraph.matcher`): plain containers, which the program
+    indexes without a Python call, and the calls that fill them on a
+    miss.  Valid while the graph does not change (the same
+    ``(version, generation)``); :meth:`EGraph.match_view` makes one."""
+
+    #: The union-find's parent list: ``c`` is a root when
+    #: ``parents[c] == c``.
+    parents: List[int]
+    #: The union-find's ``find``, for the ids that are not roots.
+    find: Callable[[int], int]
+    #: Canonical class id to the class's :data:`OpGroups`, for the
+    #: classes indexed so far.
+    ops: Dict[int, OpGroups]
+    #: ``index_ops(c)`` groups canonical class ``c``'s e-nodes, stores
+    #: them in ``ops`` and returns them.
+    index_ops: Callable[[int], OpGroups]
+    #: The candidate memo; programs read the keys
+    #: ``(canonical class, CANDIDATE_LIMIT, shift)``.
+    candidates: CandidateMemo
+    #: ``unshifted(c, shift)`` is :meth:`EGraph.unshifted_candidates`,
+    #: which fills ``candidates`` on a miss.
+    unshifted: Callable[[int, int], List[Term]]
+
+
 class EGraph:
     """A congruence-closed e-graph with hash-consing.
 
@@ -140,12 +192,18 @@ class EGraph:
       are in the same class.
     """
 
+    #: Canonical id of the class containing a class id: the
+    #: union-find's own bound ``find``, so a call costs one Python
+    #: frame, not a forwarding frame more.
+    find: Callable[[int], int]
+
     def __init__(self, analysis: Optional[Analysis] = None) -> None:
         # slot -> the e-node's current canonical form (live memo key)
         self._slot_form: List[ENode] = []
         # slot -> the e-node's class id (kept find-compressed by repair)
         self._slot_class: List[int] = []
         self._uf = UnionFind()
+        self.find = self._uf.find
         self._memo: Dict[ENode, int] = {}
         self._classes: Dict[int, EClass] = {}
         self._pending: List[int] = []
@@ -157,15 +215,8 @@ class EGraph:
         self._leaf_classes: Dict[str, Set[int]] = {
             op: set() for op in INDEXED_LEAF_OPS
         }
-        # ((version, generation), {(class, limit, shift): terms},
-        # {class: smallest term or None}); see unshifted_candidates.
-        self._candidate_memo: Optional[
-            TupleT[
-                TupleT[int, int],
-                Dict[TupleT[int, int, int], List[Term]],
-                Dict[int, Optional[Term]],
-            ]
-        ] = None
+        # The search memo; see _search_memo.
+        self._candidate_memo: Optional[_SearchMemo] = None
         # Classes created or merged since the last pop_dirty(); the
         # saturation engine's incremental e-matching restricts rule
         # search to these classes and their parent closure.
@@ -203,13 +254,9 @@ class EGraph:
     # Basic queries
     # ------------------------------------------------------------------
 
-    def find(self, class_id: int) -> int:
-        """Canonical id of the class containing ``class_id``."""
-        return self._uf.find(class_id)
-
     def canonicalize(self, enode: ENode) -> ENode:
         """Canonicalize an e-node's children."""
-        return enode.map_children(self._uf.find)
+        return enode.map_children(self.find)
 
     def classes(self) -> Iterable[EClass]:
         """Iterate over all canonical e-classes."""
@@ -239,7 +286,7 @@ class EGraph:
 
     def same(self, a: int, b: int) -> bool:
         """True when classes ``a`` and ``b`` have been merged."""
-        return self._uf.same(a, b)
+        return self.find(a) == self.find(b)
 
     def has_class(self, class_id: int) -> bool:
         """True when ``class_id`` is a live canonical class id."""
@@ -249,10 +296,10 @@ class EGraph:
         """Canonical class ids of the parents of ``class_id``'s class
         (classes containing an e-node with a child in the class).  May
         contain duplicates; callers canonicalize-and-dedup anyway."""
-        eclass = self._classes.get(self._uf.find(class_id))
+        eclass = self._classes.get(self.find(class_id))
         if eclass is None:
             return []
-        find = self._uf.find
+        find = self.find
         slot_class = self._slot_class
         return [find(slot_class[slot]) for slot in eclass.parents]
 
@@ -268,7 +315,7 @@ class EGraph:
         """Canonical ids of every class created or merged since the
         previous call, clearing the log.  Consumed once per saturation
         step by the incremental e-matcher."""
-        dirty = {self._uf.find(class_id) for class_id in self._dirty}
+        dirty = {self.find(class_id) for class_id in self._dirty}
         self._dirty.clear()
         return dirty
 
@@ -315,7 +362,7 @@ class EGraph:
         union-find roots: one hashcons probe, or an insert."""
         existing = self._memo.get(enode)
         if existing is not None:
-            return self._uf.find(existing)
+            return self.find(existing)
         return self._insert(enode)
 
     def add_term(self, term: Term) -> int:
@@ -342,10 +389,10 @@ class EGraph:
 
     def _add_term(self, term: Term, memo: Dict[int, TupleT[Term, int]]) -> int:
         if isinstance(term, ClassRef):
-            return self._uf.find(term.class_id)
+            return self.find(term.class_id)
         hit = memo.get(id(term))
         if hit is not None and hit[0] is term:
-            return self._uf.find(hit[1])
+            return self.find(hit[1])
         op, payload, child_terms = term_to_parts(term)
         # Every id _add_term returns is a union-find root, and inserting
         # never merges, so the node is canonical as built.
@@ -397,7 +444,7 @@ class EGraph:
         key = (id(term), depth)
         hit = memo.get(key)
         if hit is not None and hit[0] is term and (hit[1] is None or hit[1] is value):
-            return self._uf.find(hit[2]), hit[1] is not None
+            return self.find(hit[2]), hit[1] is not None
         op, payload, child_terms = term_to_parts(term)
         inner = depth + 1 if op == "lam" else depth
         used = False
@@ -440,7 +487,7 @@ class EGraph:
         key = (id(term), cutoff)
         hit = memo.get(key)
         if hit is not None and hit[0] is term:
-            return self._uf.find(hit[1])
+            return self.find(hit[1])
         op, payload, child_terms = term_to_parts(term)
         inner = cutoff + 1 if op == "lam" else cutoff
         children = tuple([self._add_shift(c, inner) for c in child_terms])
@@ -466,8 +513,8 @@ class EGraph:
     def merge(self, a: int, b: int) -> int:
         """Union two classes; congruence repair is deferred to
         :meth:`rebuild`."""
-        root_a = self._uf.find(a)
-        root_b = self._uf.find(b)
+        root_a = self.find(a)
+        root_b = self.find(b)
         if root_a == root_b:
             return root_a
         if self.origin_tag is not None:
@@ -518,7 +565,7 @@ class EGraph:
         # rebuild (repro.check.egraph's EG101/EG102 verify that).
         with span("rebuild.repair"):
             while self._pending:
-                todo = {self._uf.find(class_id) for class_id in self._pending}
+                todo = {self.find(class_id) for class_id in self._pending}
                 self._pending.clear()
                 for class_id in todo:
                     unions += self._repair_flat(class_id)
@@ -540,7 +587,7 @@ class EGraph:
         otherwise require an O(memo) sweep after every rebuild.
         """
         unions = 0
-        class_id = self._uf.find(class_id)
+        class_id = self.find(class_id)
         eclass = self._classes.get(class_id)
         if eclass is None:
             return 0
@@ -550,7 +597,7 @@ class EGraph:
         # other parents must not be clobbered.
         eclass.parents = []
         slot_form, slot_class = self._slot_form, self._slot_class
-        find, memo = self._uf.find, self._memo
+        find, memo = self.find, self._memo
         # Pass 1: refresh the hashcons for every parent slot (a parent
         # form always has children).
         for slot in old_parents:
@@ -593,19 +640,19 @@ class EGraph:
         (``merge`` queues only those, so a merge that leaves both sides'
         data as it was costs nothing here)."""
         assert self._analysis is not None
-        worklist = [self._uf.find(c) for c in self._analysis_pending]
+        worklist = [self.find(c) for c in self._analysis_pending]
         self._analysis_pending.clear()
         seen_rounds = 0
         while worklist and seen_rounds < 1000:
             seen_rounds += 1
             next_work: List[int] = []
             for class_id in worklist:
-                class_id = self._uf.find(class_id)
+                class_id = self.find(class_id)
                 eclass = self._classes.get(class_id)
                 if eclass is None:
                     continue
                 for parent_node, parent_class in self._parent_entries(eclass):
-                    parent_class = self._uf.find(parent_class)
+                    parent_class = self.find(parent_class)
                     parent = self._classes.get(parent_class)
                     if parent is None:
                         continue
@@ -630,7 +677,7 @@ class EGraph:
         if cached is not None and cached[0] == self.generation:
             return cached[1]
         table: Dict[int, TupleT[int, ENode]] = {}
-        find = self._uf.find
+        find = self.find
         changed = True
         while changed:
             changed = False
@@ -656,7 +703,7 @@ class EGraph:
         """Smallest term represented by ``class_id`` (node count), or
         ``None`` when the class has no finite (acyclic) term."""
         table = self._size_table()
-        return self._build_term(self._uf.find(class_id), table)
+        return self._build_term(self.find(class_id), table)
 
     def _build_term(
         self,
@@ -676,7 +723,7 @@ class EGraph:
             return built[class_id]
         # The table may be one rebuild stale; try both the canonical id
         # and the raw id (one of a merged pair keeps its id as root).
-        entry = table.get(self._uf.find(class_id))
+        entry = table.get(self.find(class_id))
         if entry is None:
             entry = table.get(class_id)
         if entry is None:
@@ -737,7 +784,9 @@ class EGraph:
         valid between mutations, not only after :meth:`rebuild`."""
         return sorted(self._leaf_classes[op])
 
-    def extract_candidates(self, class_id: int, limit: int = 4) -> List[Term]:
+    def extract_candidates(
+        self, class_id: int, limit: int = CANDIDATE_LIMIT
+    ) -> List[Term]:
         """A few small distinct terms represented by ``class_id``.
 
         The smallest term comes first; the remainder vary the root
@@ -753,7 +802,7 @@ class EGraph:
         return self.unshifted_candidates(class_id, 0, limit)
 
     def unshifted_candidates(
-        self, class_id: int, shift: int, limit: int = 4
+        self, class_id: int, shift: int, limit: int = CANDIDATE_LIMIT
     ) -> List[Term]:
         """The ``try_unshift(candidate, shift)`` results over
         :meth:`extract_candidates`, in candidate order, skipping the
@@ -764,11 +813,8 @@ class EGraph:
         Shares the candidate memo (``shift == 0`` is the candidate list
         itself); the returned list must not be mutated.
         """
-        stamp = (self.version, self.generation)
-        memo = self._candidate_memo
-        if memo is None or memo[0] != stamp:
-            memo = self._candidate_memo = (stamp, {}, {})
-        key = (self._uf.find(class_id), limit, shift)
+        memo = self._search_memo()
+        key = (self.find(class_id), limit, shift)
         results = memo[1].get(key)
         if results is None:
             if shift == 0:
@@ -785,9 +831,43 @@ class EGraph:
         return results
 
     def drop_candidate_memo(self) -> None:
-        """Release the :meth:`extract_candidates` memo (the runner calls
+        """Release the search memo: the :meth:`extract_candidates`
+        memo and the op groups of :meth:`match_view` (the runner calls
         this when a search phase ends)."""
         self._candidate_memo = None
+
+    def _search_memo(self) -> _SearchMemo:
+        """The search memo of the current ``(version, generation)``,
+        made afresh when the graph changed since it was made."""
+        stamp = (self.version, self.generation)
+        memo = self._candidate_memo
+        if memo is None or memo[0] != stamp:
+            memo = self._candidate_memo = (stamp, {}, {}, {})
+        return memo
+
+    def match_view(self) -> MatchView:
+        """The read surface of compiled e-matching programs over the
+        graph as it is now; valid until the graph next changes.  Views
+        made between two changes share one search memo."""
+        memo = self._search_memo()
+        return MatchView(
+            self._uf.parents, self.find, memo[3], self._index_ops,
+            memo[1], self.unshifted_candidates,
+        )
+
+    def _index_ops(self, class_id: int) -> OpGroups:
+        """Group canonical class ``class_id``'s e-nodes by operator,
+        each group in insertion order, and store the groups in the
+        search memo (:attr:`MatchView.index_ops`)."""
+        groups: OpGroups = {}
+        for node in self._classes[class_id].nodes:
+            group = groups.get(node[0])
+            if group is None:
+                groups[node[0]] = [node]
+            else:
+                group.append(node)
+        self._search_memo()[3][class_id] = groups
+        return groups
 
     def _compute_candidates(
         self,
@@ -801,7 +881,7 @@ class EGraph:
         table = self._size_table()
         if built is None:
             built = {}
-        class_id = self._uf.find(class_id)
+        class_id = self.find(class_id)
         results: List[Term] = []
         smallest = self._build_term(class_id, table, built=built)
         if smallest is not None:
@@ -813,7 +893,7 @@ class EGraph:
             size = 1
             ok = True
             for child in node.children:
-                entry = table.get(self._uf.find(child))
+                entry = table.get(self.find(child))
                 if entry is None:
                     ok = False
                     break

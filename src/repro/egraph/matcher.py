@@ -4,15 +4,15 @@ A pattern is compiled once into Python source (de Moura & Bjørner's
 e-matching abstract machine, "Efficient E-matching for SMT Solvers",
 CADE 2007, as used by egg) and turned into a generator function with
 :func:`compile`.  The program is a nest of loops — one per concrete
-pattern node (over the e-nodes of a class) and one per first
-occurrence of a term-mode variable (over the class's candidate terms)
-— with every variable in a fixed local slot.  Whether an occurrence
-binds or checks a variable, and in which mode, is decided at compile
-time from the occurrence's position in the depth-first, left-to-right
-walk the matching order follows, so the generated code does no
-bindings-dict lookups, copies or pattern dispatch at run time.  It
-reads an e-node's fields by position (``n[0]`` op, ``n[1]`` payload,
-``n[2]`` children), the cheapest read of an :class:`~.enode.ENode`.
+pattern node (over the e-nodes of a class with the node's operator)
+and one per first occurrence of a term-mode variable (over the class's
+candidate terms) — with every variable in a fixed local slot.  Whether
+an occurrence binds or checks a variable, and in which mode, is decided
+at compile time from the occurrence's position in the depth-first,
+left-to-right walk the matching order follows, so the generated code
+does no bindings-dict lookups, copies or pattern dispatch at run time.
+It reads an e-node's fields by position (``n[1]`` payload, ``n[2]``
+children), the cheapest read of an :class:`~.enode.ENode`.
 
 The program yields one flat *key* per match, in the order a
 backtracking interpreter over the same pattern would find the matches:
@@ -42,10 +42,27 @@ matches.  E-nodes are assumed well formed (the arity and payload every
 term constructor gives its operator), which :meth:`EGraph.add_term`
 guarantees.
 
-Matching only reads the graph, through ``find``, ``nodes_of``,
-``extract_candidates`` and ``unshifted_candidates`` (the
-:class:`MatchGraph` protocol).  The graph must not change while a
-program's generator is being consumed.
+Matching only reads the graph, through a
+:class:`~repro.egraph.egraph.MatchView` that the caller takes once per
+search (:class:`MatchGraph`), and in the common case makes no Python
+call at all:
+
+* a child id is canonicalized inline, ``c = n[2][i]`` then
+  ``if parents[c] != c: c = find(c)`` on the union-find's parent list.
+  ``find`` stays as the fallback because a class's stored e-nodes may
+  keep stale child ids: a rebuild re-canonicalizes only the e-nodes of
+  the classes it repairs, not those of every class above them;
+* a node loop iterates only the e-nodes with the pattern node's
+  operator, read from the per-class op groups with two ``dict.get``
+  (``ops.get(c)``, then the operator), and calls ``index_ops(c)`` only
+  the first time a search reaches class ``c``;
+* a term-mode variable reads the candidate memo with one ``dict.get``
+  and calls ``unshifted`` only on a miss.
+
+The op groups and the candidate memo are the graph's search memo,
+stamped with its ``(version, generation)``: a view is valid until the
+graph next changes, and the graph must not change while a program's
+generator is being consumed.
 
 Programs are cached by pattern *value* (patterns are frozen and
 hashable): every rule set built for the same targets shares them.
@@ -55,16 +72,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, Iterator, List, Protocol, Set, Tuple, cast
+from typing import Callable, Dict, Iterator, List, Protocol, Tuple, cast
 
-from ..ir.terms import Term
-from .enode import ENode
+from .egraph import CANDIDATE_LIMIT, MatchView
 from .pattern import Bindings, ClassBinding, PNode, Pattern, PVar, SizeVar, TermBinding
 
 __all__ = [
     "CompiledPattern",
     "Key",
     "MatchGraph",
+    "MatchView",
     "Program",
     "compile_pattern",
     "load_program",
@@ -74,25 +91,18 @@ __all__ = [
 
 
 class MatchGraph(Protocol):
-    """The read-only e-graph surface compiled programs use."""
+    """A graph compiled programs can match in: it hands out the
+    :class:`~repro.egraph.egraph.MatchView` they read."""
 
-    def find(self, class_id: int) -> int: ...
-
-    def nodes_of(self, class_id: int) -> Iterable[ENode]: ...
-
-    def extract_candidates(self, class_id: int, limit: int = 4) -> List[Term]: ...
-
-    def unshifted_candidates(
-        self, class_id: int, shift: int, limit: int = 4
-    ) -> List[Term]: ...
+    def match_view(self) -> MatchView: ...
 
 
 #: One match: the matched class, then every variable's value in
 #: first-binding order.
 Key = Tuple[object, ...]
 
-#: A matching program: ``program(egraph, class_id)`` yields keys.
-Program = Callable[[MatchGraph, int], Iterator[Key]]
+#: A matching program: ``program(view, class_id)`` yields keys.
+Program = Callable[[MatchView, int], Iterator[Key]]
 
 #: A pattern's variables in first-binding order, each with the mode of
 #: its first occurrence: ``"class"``, ``"term"`` or ``"size"``.
@@ -140,25 +150,23 @@ class _Dead(Exception):
 class _Compiler:
     """Walks a pattern in matching order, emitting one nest of loops.
 
-    ``methods`` are the graph methods the program binds to locals (a
-    first walk finds which ones it uses).  ``depth`` counts the loops
-    open in the function being emitted; ``live`` lists every local
-    defined so far, which is what a helper generator receives when the
-    nest is split at :data:`_MAX_LOOPS`.
+    ``depth`` counts the loops open in the function being emitted;
+    ``live`` lists every local defined so far (the view's fields
+    first), which is what a helper generator receives when the nest is
+    split at :data:`_MAX_LOOPS`.
     """
 
-    def __init__(self, methods: List[str], max_loops: int) -> None:
-        self.functions: List[List[str]] = [["def _match(egraph, root):"]]
+    def __init__(self, max_loops: int) -> None:
+        self.functions: List[List[str]] = [["def _match(view, root):"]]
         self.max_loops = max_loops
         self.depth = 0
-        self.live: List[str] = list(methods)
+        self.live: List[str] = list(MatchView._fields)
         self.constants: Dict[str, object] = {}
         self.counter = 0
         # Variable name -> (mode, local): mode "class", "term" or "size".
         self.slots: Dict[str, Tuple[str, str]] = {}
         self.order: List[str] = []
         self.root = ""
-        self.uses: Set[str] = set()
 
     # -- emission helpers ------------------------------------------------
 
@@ -174,10 +182,6 @@ class _Compiler:
 
     def line(self, text: str) -> None:
         self.functions[-1].append("    " * (self.depth + 1) + text)
-
-    def use(self, method: str) -> str:
-        self.uses.add(method)
-        return method
 
     def fail(self) -> str:
         return "continue" if self.depth else "return"
@@ -199,6 +203,22 @@ class _Compiler:
         self.live.append(var)
         self.depth += 1
 
+    def canonical(self, class_id: str) -> str:
+        """A new local holding the root of ``class_id``: the parent-list
+        test inline, ``find`` only for a stale id."""
+        local = self.fresh("c")
+        self.line(f"{local} = {class_id}")
+        self.line(f"if parents[{local}] != {local}: {local} = find({local})")
+        return local
+
+    def candidates(self, class_var: str, shift: int) -> str:
+        """A new local holding ``unshifted(class_var, shift)``, read from
+        the candidate memo."""
+        local = self.fresh("L")
+        self.line(f"{local} = candidates.get(({class_var}, {CANDIDATE_LIMIT}, {shift}))")
+        self.line(f"if {local} is None: {local} = unshifted({class_var}, {shift})")
+        return local
+
     # -- the walk --------------------------------------------------------
 
     def match(self, pattern: Pattern, class_var: str) -> None:
@@ -212,9 +232,11 @@ class _Compiler:
     def node(self, pattern: PNode, class_var: str) -> None:
         op = pattern.op
         arity = len(pattern.children)
+        groups = self.fresh("g")
+        self.line(f"{groups} = ops.get({class_var})")
+        self.line(f"if {groups} is None: {groups} = index_ops({class_var})")
         node_var = self.fresh("n", defined=False)
-        self.open_loop(node_var, f"{self.use('nodes_of')}({class_var})")
-        self.line(f"if {node_var}[0] != {op!r}: {self.fail()}")
+        self.open_loop(node_var, f"{groups}.get({op!r}, ())")
         if _ARITY.get(op, -1) != arity:
             self.line(f"if len({node_var}[2]) != {arity}: {self.fail()}")
         payload = pattern.payload
@@ -225,9 +247,7 @@ class _Compiler:
                 f"if {node_var}[1] != {self.constant(payload)}: {self.fail()}"
             )
         for index, child in enumerate(pattern.children):
-            child_var = self.fresh("c")
-            self.line(f"{child_var} = {self.use('find')}({node_var}[2][{index}])")
-            self.match(child, child_var)
+            self.match(child, self.canonical(f"{node_var}[2][{index}]"))
 
     def size(self, var: SizeVar, node_var: str) -> None:
         slot = self.slots.get(var.name)
@@ -249,25 +269,24 @@ class _Compiler:
             if not term_mode:
                 self.slots[var.name] = ("class", class_var)
                 return
+            terms = self.candidates(class_var, var.shift)
             local = self.fresh("t", defined=False)
             self.slots[var.name] = ("term", local)
-            self.open_loop(local, f"{self.use('unshifted')}({class_var}, {var.shift})")
+            self.open_loop(local, terms)
             return
         mode, local = slot
         fail = self.fail()
         if mode == "size" or (mode == "class" and term_mode and var.shift):
             raise _Dead
-        if mode == "class" and not term_mode:
+        if mode == "class":
             self.line(f"if {class_var} != {local}: {fail}")
-        elif mode == "class":
-            unshifted = self.use("unshifted")
-            self.line(f"if {class_var} != {local} or not {unshifted}({class_var}, 0): {fail}")
-        elif term_mode:
-            unshifted = self.use("unshifted")
-            self.line(f"if {local} not in {unshifted}({class_var}, {var.shift}): {fail}")
+            if term_mode:
+                self.line(f"if not {self.candidates(class_var, 0)}: {fail}")
         else:
-            candidates = self.use("candidates")
-            self.line(f"if {local} not in {candidates}({class_var}): {fail}")
+            # A term-mode occurrence looks among the candidates unshifted
+            # alike, a class-mode one among the plain candidates.
+            terms = self.candidates(class_var, var.shift if term_mode else 0)
+            self.line(f"if {local} not in {terms}: {fail}")
 
     def finish(self) -> None:
         items = [self.root] + [self.slots[name][1] for name in self.order]
@@ -277,15 +296,7 @@ class _Compiler:
         return tuple((name, self.slots[name][0]) for name in self.order)
 
 
-#: Graph methods a program may bind to locals, by local name.
-_METHODS = {
-    "find": "find",
-    "nodes_of": "nodes_of",
-    "unshifted": "unshifted_candidates",
-    "candidates": "extract_candidates",
-}
-
-_DEAD_SOURCE = "def _match(egraph, root):\n    return\n    yield\n"
+_DEAD_SOURCE = "def _match(view, root):\n    return\n    yield\n"
 
 #: How a key value becomes a bindings value, by mode.
 _BINDING_OF = {"class": "ClassBinding({})", "term": "TermBinding({})", "size": "{}"}
@@ -300,17 +311,6 @@ def _bindings_source(layout: Layout) -> str:
     return f"def _bindings(key):\n    return {{{items}}}\n"
 
 
-def _walk(pattern: Pattern, methods: List[str], max_loops: int) -> _Compiler:
-    compiler = _Compiler(methods, max_loops)
-    for name in methods:
-        compiler.line(f"{name} = egraph.{_METHODS[name]}")
-    compiler.root = compiler.fresh("c")
-    compiler.line(f"{compiler.root} = {compiler.use('find')}(root)")
-    compiler.match(pattern, compiler.root)
-    compiler.finish()
-    return compiler
-
-
 def program_source(
     pattern: Pattern, max_loops: int = _MAX_LOOPS
 ) -> Tuple[str, Dict[str, object], Layout]:
@@ -319,12 +319,14 @@ def program_source(
     bindings dict (``_bindings``), the payload constants they refer to,
     and the layout of the keys.  Nests deeper than ``max_loops`` loops
     continue in helper generators."""
+    compiler = _Compiler(max_loops)
+    compiler.line(", ".join(MatchView._fields) + " = view")
     try:
-        uses = _walk(pattern, list(_METHODS), max_loops).uses
-        used = [name for name in _METHODS if name in uses]
-        compiler = _walk(pattern, used, max_loops)
+        compiler.root = compiler.canonical("root")
+        compiler.match(pattern, compiler.root)
     except _Dead:
         return _DEAD_SOURCE + "\n\n" + _bindings_source(()), {}, ()
+    compiler.finish()
     layout = compiler.layout()
     functions = ["\n".join(lines) + "\n" for lines in compiler.functions]
     source = "\n\n".join(functions + [_bindings_source(layout)])
@@ -364,4 +366,4 @@ def match_class(
 ) -> Iterator[Bindings]:
     """Yield every binding under which ``pattern`` matches ``class_id``."""
     compiled = compile_pattern(pattern)
-    return map(compiled.bindings, compiled.program(egraph, class_id))
+    return map(compiled.bindings, compiled.program(egraph.match_view(), class_id))

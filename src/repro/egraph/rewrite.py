@@ -143,18 +143,19 @@ class Rule:
 
     def apply(self, egraph: EGraph, match: Match) -> int:
         """Apply the rule to one match; returns number of unions made."""
+        find = egraph.find
         if self.applier is None:
             new_class = add_instance(
                 egraph, self.rhs, match.bindings, self._requirements
             )
-            if egraph.same(new_class, match.class_id):
+            if find(new_class) == find(match.class_id):
                 return 0
             egraph.merge(new_class, match.class_id)
             return 1
         unions = 0
         for result in self.applier(egraph, match):
             new_class = result if isinstance(result, int) else egraph.add_term(result)
-            if not egraph.same(new_class, match.class_id):
+            if find(new_class) != find(match.class_id):
                 egraph.merge(new_class, match.class_id)
                 unions += 1
         return unions

@@ -26,6 +26,15 @@ class UnionFind:
     def __len__(self) -> int:
         return len(self._parent)
 
+    @property
+    def parents(self) -> List[int]:
+        """The parent list itself, not a copy: ``x`` is a root exactly
+        when ``parents[x] == x``.  Compiled e-matching programs test
+        that inline and call :meth:`find` only for a non-root.  The list
+        object stays the same for the structure's lifetime; callers must
+        not write to it."""
+        return self._parent
+
     def make_set(self) -> int:
         """Create a fresh singleton set and return its id."""
         identifier = len(self._parent)

@@ -81,6 +81,8 @@ def search_rule(
     """
     keys: List[Key] = []
     program = rule.compiled.program
+    view = egraph.match_view()
+    parents = view.parents
     limit = rule.match_limit
     root_op = rule.searcher.op if isinstance(rule.searcher, PNode) else None
     if root_op is None:
@@ -91,12 +93,12 @@ def search_rule(
         if deadline is not None and index % _DEADLINE_STRIDE == 0:
             if time.perf_counter() > deadline:
                 break
-        if not egraph.has_class(class_id):
+        # A root id is exactly a live class id.
+        if parents[class_id] != class_id:
             continue  # merged away since the op index was built
-        if restrict is not None and egraph.find(class_id) not in restrict:
+        if restrict is not None and class_id not in restrict:
             continue
-        # ``has_class`` held, so ``class_id`` is canonical.
-        keys.extend(islice(program(egraph, class_id), limit - len(keys)))
+        keys.extend(islice(program(view, class_id), limit - len(keys)))
         if len(keys) >= limit:
             return keys
     return keys

@@ -752,6 +752,7 @@ class Runner:
             # scheduler counts: the match budget meters new work, not
             # the rediscovery of old matches.
             fresh = applied.fresh(rule_index, context, found)
+            rule_stats.rediscovered += len(found) - len(fresh)
             admitted = scheduler.admit_matches(step, rule_index, rule, fresh)
             if not admitted and fresh:
                 # Banned: the discarded matches must be re-found once

@@ -37,6 +37,10 @@ class RuleStats:
     searches: int = 0
     #: Raw matches the searcher produced (before dedup/scheduling).
     matches_found: int = 0
+    #: Found matches that dedup dropped: repeats within one search
+    #: and matches applied in an earlier step (``matches_found`` minus
+    #: the fresh ones).
+    rediscovered: int = 0
     #: Matches that survived dedup + scheduling and were applied.
     matches_applied: int = 0
     #: Unions those applications performed.
@@ -66,6 +70,7 @@ class RuleStats:
             "search_seconds": self.search_seconds,
             "searches": self.searches,
             "matches_found": self.matches_found,
+            "rediscovered": self.rediscovered,
             "matches_applied": self.matches_applied,
             "unions": self.unions,
             "apply_seconds": self.apply_seconds,
@@ -78,6 +83,8 @@ class RuleStats:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RuleStats":
+        """The inverse of :meth:`to_dict`; counters a profile predates
+        (``rediscovered``) read 0."""
         return cls(**dict(data))
 
     def add(self, other: "RuleStats") -> None:
@@ -85,6 +92,7 @@ class RuleStats:
         self.search_seconds += other.search_seconds
         self.searches += other.searches
         self.matches_found += other.matches_found
+        self.rediscovered += other.rediscovered
         self.matches_applied += other.matches_applied
         self.unions += other.unions
         self.apply_seconds += other.apply_seconds

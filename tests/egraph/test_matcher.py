@@ -142,7 +142,7 @@ def _assert_same(egraph, pattern: Pattern, max_loops: int = matcher._MAX_LOOPS) 
     total = 0
     for class_id in egraph.class_ids():
         want = _ordered(oracle_match(egraph, pattern, class_id))
-        keys = list(compiled.program(egraph, class_id))
+        keys = list(compiled.program(egraph.match_view(), class_id))
         assert _ordered(map(compiled.bindings, keys)) == want, (pattern, class_id)
         for key in keys:
             # The matched class, then one raw value per variable; class
@@ -389,3 +389,115 @@ def test_rule_sets_built_twice_compile_nothing_new():
     after = matcher.compile_pattern.cache_info()
     assert after.misses == before.misses
     assert after.currsize == before.currsize
+
+
+# ---------------------------------------------------------------------------
+# What programs read: stale child ids and the op groups' stamp
+# ---------------------------------------------------------------------------
+
+
+def _stale_child_ids(egraph) -> int:
+    """Child ids stored in class node sets that are no longer roots."""
+    parents = egraph.match_view().parents
+    return sum(
+        parents[child] != child
+        for eclass in egraph.classes()
+        for enode in eclass.nodes
+        for child in enode[2]
+    )
+
+
+@st.composite
+def stale_graphs_and_patterns(draw):
+    """A random e-graph, then two fresh symbols merged under two tuples
+    that stay apart, so after the rebuild one tuple's class still stores
+    the merged-away id as a child: a rebuild re-canonicalizes only the
+    node sets of the classes it repairs.  The pattern is abstracted from
+    one of the tuples or from a random term."""
+    egraph, terms = draw(egraphs())
+    wrapped = [Tuple(Symbol("p"), terms[0]), Tuple(Symbol("q"), Lam(Fst(terms[0])))]
+    for term in wrapped:
+        egraph.add_term(term)
+    egraph.merge(egraph.add_term(Symbol("p")), egraph.add_term(Symbol("q")))
+    egraph.rebuild()
+    source = draw(st.sampled_from(wrapped + terms))
+    return egraph, draw(patterns_over(source, {}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stale_graphs_and_patterns())
+def test_compiled_matches_oracle_over_stale_child_ids(case):
+    egraph, pattern = case
+    # The inline parent-list test must fall back to ``find`` somewhere.
+    assert _stale_child_ids(egraph) > 0
+    _assert_same(egraph, pattern)
+
+
+def test_stale_child_id_is_matched_through_its_root():
+    egraph, (pair, other) = _graph(
+        Tuple(Symbol("a"), Const(0)), Tuple(Symbol("b"), Const(1))
+    )
+    a, b = egraph.add_term(Symbol("a")), egraph.add_term(Symbol("b"))
+    egraph.merge(a, b)
+    egraph.rebuild()
+    assert _stale_child_ids(egraph) == 1
+    pattern = PNode("tuple", None, (PNode("symbol", "b"), PVar("x")))
+    root = egraph.find(a)
+    found = [list(match_class(egraph, pattern, pair)), list(match_class(egraph, pattern, other))]
+    assert found == [[{"x": ClassBinding(egraph.find(egraph.add_term(Const(0))))}],
+                     [{"x": ClassBinding(egraph.find(egraph.add_term(Const(1))))}]]
+    assert root in (a, b)
+    assert _assert_same(egraph, pattern) == 2
+
+
+def test_op_groups_are_regrouped_after_a_mutation():
+    # Run a program, add an e-node of the wanted op to the matched
+    # class, run it again: the second run must see the new e-node.
+    egraph, (root,) = _graph(Symbol("a"))
+    pattern = PNode("fst", None, (PVar("x"),))
+    compiled = matcher.compile_pattern(pattern)
+    view = egraph.match_view()
+    assert list(compiled.program(view, root)) == []
+    assert root in view.ops
+    assert egraph.match_view().ops is view.ops  # shared until a change
+    pair = egraph.add_term(Tuple(Symbol("b"), Symbol("c")))
+    egraph.merge(root, egraph.add_term(Fst(Tuple(Symbol("b"), Symbol("c")))))
+    want = [(egraph.find(root), egraph.find(pair))]
+    assert list(compiled.program(egraph.match_view(), root)) == want
+    egraph.rebuild()
+    assert list(compiled.program(egraph.match_view(), root)) == want
+    egraph.drop_candidate_memo()
+    assert list(match_class(egraph, pattern, root)) == [{"x": ClassBinding(want[0][1])}]
+
+
+_SCHEDULE_PATTERNS = (
+    PNode("tuple", None, (PVar("x"), PVar("y", as_term=True))),
+    PNode("fst", None, (PNode("tuple", None, (PVar("x"), PVar("y"))),)),
+    PNode("lam", None, (PVar("e", shift=1),)),
+    PNode("app", None, (PNode("lam", None, (PVar("e", as_term=True),)), PVar("x"))),
+)
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("add"), _TERMS),
+    st.tuples(st.just("merge"), st.integers(0, 63), st.integers(0, 63)),
+    st.tuples(st.just("rebuild")),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_MUTATION, min_size=1, max_size=12))
+def test_programs_between_mutations_match_oracle(schedule):
+    # Programs run after every mutation, twice on one view (the second
+    # run reads the op groups and candidates the first one filled).
+    egraph = EGraph()
+    ids: List[int] = []
+    for mutation in schedule:
+        if mutation[0] == "add":
+            ids.append(egraph.add_term(mutation[1]))
+        elif mutation[0] == "merge" and ids:
+            egraph.merge(ids[mutation[1] % len(ids)], ids[mutation[2] % len(ids)])
+        elif mutation[0] == "rebuild":
+            egraph.rebuild()
+        for pattern in _SCHEDULE_PATTERNS:
+            _assert_same(egraph, pattern)
+            _assert_same(egraph, pattern)

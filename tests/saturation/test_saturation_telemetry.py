@@ -43,6 +43,17 @@ class TestRuleStats:
                                "effective_applications")}
         assert RuleStats.from_dict(legacy).effective_applications == 0
 
+    def test_rediscovered_round_trips_adds_and_defaults(self):
+        a = RuleStats("r", matches_found=9, rediscovered=4)
+        assert RuleStats.from_dict(a.to_dict()) == a
+        a.add(RuleStats("r", matches_found=3, rediscovered=2))
+        assert a.rediscovered == 6
+        total = aggregate_rule_stats([{"r": a.to_dict()}, {"r": a.to_dict()}])
+        assert total["r"]["rediscovered"] == 12
+        # Profiles written before the field existed still load.
+        legacy = {k: v for k, v in a.to_dict().items() if k != "rediscovered"}
+        assert RuleStats.from_dict(legacy).rediscovered == 0
+
     def test_add_accumulates(self):
         a = RuleStats("r", searches=1, matches_found=2, unions=1)
         a.add(RuleStats("r", searches=2, matches_found=3, bans=1))
@@ -94,6 +105,27 @@ class TestRunnerTelemetry:
         assert add_zero.matches_applied >= 2
         assert add_zero.unions >= 2
         assert result.rule_stats["commute"].matches_applied >= 1
+
+    def test_rediscovered_is_found_minus_fresh(self, monkeypatch):
+        # Count what dedup drops, search by search, and compare.
+        from repro.saturation import runner as runner_module
+
+        dropped = {}
+        real_fresh = runner_module.AppliedSet.fresh
+
+        def counting_fresh(applied, rule_index, context, keys):
+            fresh = real_fresh(applied, rule_index, context, keys)
+            dropped[rule_index] = dropped.get(rule_index, 0) + len(keys) - len(fresh)
+            return fresh
+
+        monkeypatch.setattr(runner_module.AppliedSet, "fresh", counting_fresh)
+        result = self._run()
+        stats = [result.rule_stats["add-zero"], result.rule_stats["commute"]]
+        assert [s.rediscovered for s in stats] == [dropped.get(0, 0), dropped.get(1, 0)]
+        # commute re-finds its own output's matches every step.
+        assert stats[1].rediscovered > 0
+        for s in stats:
+            assert s.rediscovered <= s.matches_found
 
     def test_phase_timings_on_step_records(self):
         result = self._run()

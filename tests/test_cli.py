@@ -1,5 +1,6 @@
 """Tests for the command-line evaluation driver (repro.cli)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +53,14 @@ class TestCli:
             "--rule-profile", str(profile), "-q",
         ]) == 0
         assert profile.exists()
+        # Every rule's row carries rediscovered = found - fresh, summed
+        # into the aggregate.
+        data = json.loads(profile.read_text())
+        rows = data["runs"][0]["rule_stats"]
+        assert all(0 <= row["rediscovered"] <= row["matches_found"] for row in rows.values())
+        assert sum(row["rediscovered"] for row in rows.values()) > 0
+        assert data["aggregate"]["R-IntroLambda"]["rediscovered"] == (
+            rows["R-IntroLambda"]["rediscovered"])
         assert main([
             "memset", "-t", "blas", "--steps", "3", "--nodes", "2000",
             "--prune-from-profile", str(profile), "-q",
